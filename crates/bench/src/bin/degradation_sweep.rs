@@ -7,19 +7,11 @@
 //! `BENCH_degradation.json`. `JOBS`, `SEED` and `BUDGET_PCT` env vars
 //! override the defaults; `--smoke` runs the small CI configuration.
 
-use cimone_bench::env_u64;
+use cimone_bench::{env_u64, num, obj};
 use cimone_cluster::engine::ClockMode;
 use cimone_cluster::experiments::degradation::{self, DegradationResult};
 use cimone_cluster::perf::HplProblem;
 use cimone_monitor::json::JsonValue;
-
-fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)))
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
 
 fn brownout_section(result: &DegradationResult) -> JsonValue {
     JsonValue::Array(

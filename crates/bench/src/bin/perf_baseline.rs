@@ -1,15 +1,15 @@
-//! The perf-regression baseline: pinned-size kernel and engine runs,
-//! serial vs threaded, with machine-readable output.
+//! The perf-regression baseline: pinned-size kernel and engine runs with
+//! machine-readable output.
 //!
 //! Emits `BENCH_kernels.json` (blocked LU GFLOP/s, packed DGEMM GFLOP/s,
-//! STREAM triad GB/s, each with the threaded-over-serial speedup) and
-//! `BENCH_engine.json` (simulation steps/s at 1 and 4 engine threads,
-//! plus the event-driven clock's wall-clock ratio over fixed-dt on a
-//! sparse and a dense scenario). Every threaded run is checked bitwise
-//! against its serial twin, and every event-driven run against its
-//! fixed-dt twin — any divergence is a hard failure (non-zero exit),
-//! because the contract is that neither thread count nor clock mode ever
-//! changes a result.
+//! STREAM triad GB/s, each serial and on a worker pool, with the
+//! threaded-over-serial speedup) and `BENCH_engine.json` (full-pipeline
+//! simulation steps/s, plus the event-driven clock's wall-clock ratio
+//! over fixed-dt on a sparse and a dense scenario). Every threaded kernel
+//! is checked bitwise against its serial twin, and every event-driven run
+//! against its fixed-dt twin — any divergence is a hard failure (non-zero
+//! exit), because the contract is that neither the kernel worker count
+//! nor the clock mode ever changes a result.
 //!
 //! The dense scenario additionally gates the §16 sampled-span replay: a
 //! monitored tick ratio below 10x is a hard failure, because the tick
@@ -35,6 +35,7 @@
 
 use std::time::Instant;
 
+use cimone_bench::{num, obj};
 use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
 use cimone_cluster::faults::{FaultKind, FaultPlan};
 use cimone_kernels::checkpoint::Checkpoint;
@@ -134,14 +135,6 @@ fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         times.push(start.elapsed().as_secs_f64());
     }
     (median(times), last.expect("at least one rep"))
-}
-
-fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)))
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
 }
 
 fn bench_lu(sizes: &Sizes, pool: &WorkerPool, divergences: &mut Vec<String>) -> JsonValue {
@@ -266,19 +259,11 @@ fn bench_stream(sizes: &Sizes, divergences: &mut Vec<String>) -> JsonValue {
     ])
 }
 
-fn engine_with_threads(
-    threads: usize,
-    parallel_grain: Option<usize>,
-    steps: usize,
-) -> (f64, SimEngine) {
-    let mut config = EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    };
-    if let Some(grain) = parallel_grain {
-        config.parallel_grain = grain;
-    }
-    let mut engine = SimEngine::new(config);
+/// Steps the stock monitored 8-node engine `steps` times under an HPL job
+/// that never finishes (so every step does full work) and returns the
+/// stepping wall time.
+fn engine_run(steps: usize) -> f64 {
+    let mut engine = SimEngine::new(EngineConfig::default());
     engine
         .submit(JobRequest {
             name: "perf-baseline".into(),
@@ -294,67 +279,20 @@ fn engine_with_threads(
     for _ in 0..steps {
         engine.step();
     }
-    (start.elapsed().as_secs_f64(), engine)
+    start.elapsed().as_secs_f64()
 }
 
-/// Threaded engine stepping, reported the way it actually ships: the
-/// default posture (default grain, where the stock 8-node machine is
-/// below the min-work threshold, so the engine auto-falls back to serial
-/// stepping) is the headline; the forced-pool path (grain 1) is measured
-/// and reported separately, because on this machine the fan-out loses to
-/// its own synchronisation and hiding that behind the default numbers
-/// would misstate both.
-fn bench_engine(sizes: &Sizes, divergences: &mut Vec<String>) -> JsonValue {
+/// Full-pipeline engine stepping throughput, median of reps.
+fn bench_engine(sizes: &Sizes) -> JsonValue {
     let steps = sizes.engine_steps;
-    let mut serial_times = Vec::with_capacity(sizes.reps);
-    let mut default_times = Vec::with_capacity(sizes.reps);
-    let mut forced_times = Vec::with_capacity(sizes.reps);
-    let mut identical = true;
-    for _ in 0..sizes.reps {
-        let (st, serial) = engine_with_threads(1, None, steps);
-        let (dt, default) = engine_with_threads(WORKERS, None, steps);
-        let (ft, forced) = engine_with_threads(WORKERS, Some(1), steps);
-        serial_times.push(st);
-        default_times.push(dt);
-        forced_times.push(ft);
-        identical &= serial.store() == default.store()
-            && serial.events() == default.events()
-            && serial.store() == forced.store()
-            && serial.events() == forced.events();
-    }
-    if !identical {
-        divergences.push(format!("engine {steps} steps: threaded != serial"));
-    }
-    // Whether a default-grain engine at WORKERS threads falls back to
-    // serial stepping (it should, on the stock 8-node machine).
-    let auto_fallback = !SimEngine::new(EngineConfig {
-        threads: WORKERS,
-        ..EngineConfig::default()
-    })
-    .parallel_engaged();
-    let serial_s = median(serial_times);
-    let default_s = median(default_times);
-    let forced_s = median(forced_times);
-    let default_speedup = serial_s / default_s;
-    let forced_speedup = serial_s / forced_s;
+    let serial_s = median((0..sizes.reps).map(|_| engine_run(steps)).collect());
     println!(
-        "ENGINE  steps={steps:<7} serial {:>8.0} steps/s  default({WORKERS}t) {:>8.0} steps/s ({default_speedup:.2}x, auto_fallback={auto_fallback})  forced-pool {:>8.0} steps/s ({forced_speedup:.2}x)",
+        "ENGINE  steps={steps:<7} serial {:>8.0} steps/s",
         steps as f64 / serial_s,
-        steps as f64 / default_s,
-        steps as f64 / forced_s,
     );
     obj(vec![
         ("steps", num(steps as f64)),
         ("serial_steps_per_s", num(steps as f64 / serial_s)),
-        ("default_steps_per_s", num(steps as f64 / default_s)),
-        ("forced_pool_steps_per_s", num(steps as f64 / forced_s)),
-        ("default_speedup", num(default_speedup)),
-        ("forced_pool_speedup", num(forced_speedup)),
-        (
-            "auto_fallback_default_grain",
-            JsonValue::Bool(auto_fallback),
-        ),
-        ("bit_identical", JsonValue::Bool(identical)),
     ])
 }
 
@@ -571,7 +509,7 @@ fn main() {
     let lu = bench_lu(&sizes, &pool, &mut divergences);
     let gemm = bench_dgemm(&sizes, &pool, &mut divergences);
     let stream = bench_stream(&sizes, &mut divergences);
-    let engine = bench_engine(&sizes, &mut divergences);
+    let engine = bench_engine(&sizes);
     let engine_event = bench_engine_event(&sizes, &mut divergences);
     let broker = bench_broker(&sizes);
 

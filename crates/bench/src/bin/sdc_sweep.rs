@@ -8,18 +8,10 @@
 //! `BENCH_sdc.json`. `N`, `NB`, `TRIALS` and `SEED` env vars override
 //! the defaults; `--smoke` runs the small CI configuration.
 
-use cimone_bench::env_u64;
+use cimone_bench::{env_u64, num, obj};
 use cimone_cluster::engine::ClockMode;
 use cimone_cluster::experiments::sdc::{self, SdcResult};
 use cimone_monitor::json::JsonValue;
-
-fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)))
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
 
 fn kernel_section(result: &SdcResult) -> JsonValue {
     JsonValue::Array(

@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use cimone_monitor::json::JsonValue;
 use cimone_monitor::plugins::{HWMON_SYSFS, STATS_METRICS};
 use cimone_monitor::topic::ExamonSchema;
 
@@ -19,6 +20,17 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Builds a JSON object from `(key, value)` pairs, in order — the
+/// `BENCH_*.json` writers use this for every section.
+pub fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
+    JsonValue::object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)))
+}
+
+/// A JSON number.
+pub fn num(v: f64) -> JsonValue {
+    JsonValue::Number(v)
 }
 
 /// Renders Table II: the ExaMon topic and payload formats.

@@ -26,7 +26,6 @@ use cimone_soc::units::{Celsius, Energy, Power, SimDuration, SimTime};
 use cimone_soc::workload::Workload;
 
 use cimone_kernels::abft::AbftMode;
-use cimone_kernels::pool::{default_threads, WorkerPool};
 use cimone_monitor::scrub::ScrubPolicy;
 
 use cimone_net::switch::MgmtSwitch;
@@ -118,22 +117,6 @@ pub struct EngineConfig {
     /// engine keeps its oracle semantics — a crash reaches the scheduler
     /// the same instant it happens.
     pub recovery: Option<RecoveryConfig>,
-    /// Worker threads for the per-node step phases (node advance,
-    /// telemetry sampling, broker fan-out). `1` (the default) runs fully
-    /// serial; `0` sizes a pool from the host (honouring
-    /// `CIMONE_THREADS`); any other value pins the pool size. Results
-    /// are bit-identical at every setting: per-node work is independent,
-    /// merges happen in node order, and the power-noise RNG is only ever
-    /// drawn serially. Whether a pool actually engages is further gated
-    /// by [`EngineConfig::parallel_grain`].
-    pub threads: usize,
-    /// Minimum nodes *per worker* before the thread pool engages. Below
-    /// it the per-tick work is too small to amortise the fan-out/join
-    /// overhead and a threaded engine runs *slower* than a serial one, so
-    /// the engine silently falls back to the (bit-identical) serial path.
-    /// The default of 8 means the stock 8-node machine always steps
-    /// serially; set 1 to force the pool on for any `threads` setting.
-    pub parallel_grain: usize,
     /// Clock advancement strategy; see [`ClockMode`].
     pub clock: ClockMode,
     /// Blade power-rail cap governor. `Some` (the default) arms graceful
@@ -160,8 +143,6 @@ impl Default for EngineConfig {
             monitoring: true,
             governor: None,
             recovery: None,
-            threads: 1,
-            parallel_grain: 8,
             clock: ClockMode::FixedDt,
             power_cap: Some(PowerCapConfig::rv007_default()),
             abft: AbftMode::Off,
@@ -570,10 +551,6 @@ pub struct SimEngine {
     failures: usize,
     /// The recovery subsystem, when configured.
     recovery: Option<RecoveryState>,
-    /// Shared worker pool for the per-node step phases; `None` when
-    /// [`EngineConfig::threads`] is 1 or the machine is too small for
-    /// [`EngineConfig::parallel_grain`] (fully serial stepping).
-    pool: Option<std::sync::Arc<WorkerPool>>,
     /// Per-node message buffers reused across ticks by the plugin
     /// sampling phase (avoids two Vec allocations per node per tick).
     plugin_scratch: Vec<Vec<(Topic, Payload)>>,
@@ -734,19 +711,6 @@ impl SimEngine {
             node_downtime: vec![SimDuration::ZERO; n],
             failures: 0,
             recovery,
-            pool: {
-                let size = if config.threads == 0 {
-                    default_threads()
-                } else {
-                    config.threads
-                };
-                // Min-work threshold: a pool that gets fewer than
-                // `parallel_grain` nodes per worker loses more to
-                // fan-out/join overhead than it gains, so fall back to
-                // the bit-identical serial path.
-                (size > 1 && n >= size * config.parallel_grain.max(1))
-                    .then(|| std::sync::Arc::new(WorkerPool::new(size)))
-            },
             plugin_scratch: (0..n).map(|_| Vec::new()).collect(),
             snap_scratch: (0..n).map(|_| NodeSnapshot::default()).collect(),
             replay_batch: Vec::new(),
@@ -1056,13 +1020,6 @@ impl SimEngine {
         self.ticks_skipped
     }
 
-    /// Whether the worker pool actually engaged, i.e. `threads != 1` and
-    /// the machine cleared [`EngineConfig::parallel_grain`]. `false`
-    /// means per-node phases run on the (bit-identical) serial path.
-    pub fn parallel_engaged(&self) -> bool {
-        self.pool.is_some()
-    }
-
     /// Submits a job.
     ///
     /// # Errors
@@ -1224,14 +1181,12 @@ impl SimEngine {
         // 2b. Checkpoint state machine: commit finished writes, begin due
         //     ones.
         self.advance_checkpoints();
-        let mut finished: Vec<JobId> = self
+        let finished: Vec<JobId> = self
             .running
             .values()
             .filter(|job| job.progress >= 1.0)
             .map(|job| job.id)
             .collect();
-        // Deterministic completion order (HashMap iteration is not).
-        finished.sort_unstable();
         for id in finished {
             // 2c. End-of-run residual check: a poisoned run that reached
             //     completion either fails the residual (ABFT on — restart
@@ -1296,158 +1251,48 @@ impl SimEngine {
         // 4. Power and energy. The thermal and energy integrators consume
         //    the noise-free *mean* power (sensor noise is a measurement
         //    artefact, not physics); the noisy sample is drawn only when a
-        //    reading is actually published, serially in node order, so the
-        //    RNG stream is identical at every thread count.
+        //    reading is actually published, serially in node order.
         let mut node_power = Vec::with_capacity(self.nodes.len());
+        self.mean_node_power_into(&mut node_power);
         let mut power_messages: Vec<(Topic, Payload)> = Vec::with_capacity(self.nodes.len());
         // A dead management switch silences every node's telemetry at once
         // (the broker lives across it), exactly like a cluster-wide sensor
         // dropout.
         let switch_up = self.switch.is_up(self.now);
-        for i in 0..self.nodes.len() {
-            let workload = self.nodes[i].effective_power_workload();
-            let temp = self.thermal.temperature(i);
-            let scale = self.nodes[i].cpufreq().scale();
-            node_power.push(self.power.mean_all_dvfs(workload, temp, scale).total());
-            if self.config.monitoring && switch_up {
-                let dropped_out = self.now < self.sensor_dropout_until[i];
-                let stuck = self.now < self.sensor_stuck_until[i];
-                if !dropped_out {
-                    let measured = self
-                        .power
-                        .sample_all_dvfs(workload, temp, scale, &mut self.rng)
-                        .total()
-                        .as_watts();
-                    let watts = match (stuck, self.last_power[i]) {
-                        (true, Some(frozen)) => frozen,
-                        _ => measured,
-                    };
-                    // An active payload-corruption span flips the sign bit
-                    // of the value on the wire (after the RNG draw, so the
-                    // noise stream is untouched): the reading becomes
-                    // implausible and the ingestion scrub quarantines it.
-                    let watts = if self.now < self.payload_corrupt_until[i] {
-                        f64::from_bits(watts.to_bits() ^ (1u64 << 63))
-                    } else {
-                        watts
-                    };
-                    let topic = self.power_topic(i);
-                    power_messages.push((topic, Payload::new(watts, self.now)));
-                    if !stuck {
-                        self.last_power[i] = Some(measured);
-                    }
-                }
-            }
+        if self.config.monitoring && switch_up {
+            self.sample_power_messages(&mut power_messages);
         }
-        self.record_blade_power(&node_power);
-        if let Some(pool) = &self.pool {
-            self.broker.publish_batch(power_messages, pool);
-        } else {
-            for (topic, payload) in power_messages {
-                self.broker.publish(&topic, payload);
-            }
+        for (topic, payload) in power_messages {
+            self.broker.publish(&topic, payload);
         }
         for job in self.running.values_mut() {
             let p: Power = job.node_indices.iter().map(|&i| node_power[i]).sum();
             job.energy += p.energy_over(dt);
         }
 
-        // 5. Thermal step and trip handling.
-        let tripped = self.thermal.step(&node_power, dt);
-        for node_index in tripped {
-            self.handle_trip(node_index);
-        }
-        for i in 0..self.nodes.len() {
-            let (cpu, mb, nvme) = (
-                self.thermal.temperature(i),
-                self.thermal.mb_temperature(i),
-                self.thermal.nvme_temperature(i),
-            );
-            self.nodes[i].set_temperatures(cpu, mb, nvme);
-        }
+        // 5/5b. Thermal step, trip handling and the thermal governor.
+        self.thermal_phase(&node_power);
 
-        // 5b. The thermal governor, when enabled, throttles hot nodes and
-        //     recovers cool ones.
-        self.govern();
-
-        // 6. Node execution + monitoring plugins, merged into ONE fan-out:
-        //    each node advances its counters, snapshots, and samples its
-        //    due plugins in a single pass (node.advance reads only the
-        //    conditions and DVFS state fixed in earlier phases, so running
-        //    it after power/thermal is equivalent). With a pool the
-        //    per-node work fans out once and messages are merged back in
-        //    node order (PMU before stats, exactly as the serial loop
-        //    publishes them) before one batch fan-out. Per-node buffers
-        //    are reused across ticks.
+        // 6. Node execution + monitoring plugins in one pass: each node
+        //    advances its counters, snapshots, and samples its due plugins
+        //    (node.advance reads only the conditions and DVFS state fixed
+        //    in earlier phases, so running it after power/thermal is
+        //    equivalent). Per-node buffers are reused across ticks.
         let monitoring = self.config.monitoring;
-        if let Some(pool) = &self.pool {
-            let now = self.now;
-            let eligible: Vec<bool> = (0..self.nodes.len())
-                .map(|i| monitoring && switch_up && now >= self.sensor_dropout_until[i])
-                .collect();
-            let tiles = pool.even_chunks(self.nodes.len());
-            pool.scope(|scope| {
-                let mut nodes = self.nodes.as_mut_slice();
-                let mut elig = eligible.as_slice();
-                let mut pmu = self.pmu.as_mut_slice();
-                let mut stats = self.stats.as_mut_slice();
-                let mut out = self.plugin_scratch.as_mut_slice();
-                for (start, end) in tiles {
-                    let len = end - start;
-                    let (node_c, node_r) = nodes.split_at_mut(len);
-                    nodes = node_r;
-                    let (elig_c, elig_r) = elig.split_at(len);
-                    elig = elig_r;
-                    let (pmu_c, pmu_r) = pmu.split_at_mut(len);
-                    pmu = pmu_r;
-                    let (stats_c, stats_r) = stats.split_at_mut(len);
-                    stats = stats_r;
-                    let (out_c, out_r) = out.split_at_mut(len);
-                    out = out_r;
-                    scope.spawn(move || {
-                        for ((((node, &ok), pmu), stats), out) in node_c
-                            .iter_mut()
-                            .zip(elig_c)
-                            .zip(pmu_c)
-                            .zip(stats_c)
-                            .zip(out_c)
-                        {
-                            node.advance(dt);
-                            out.clear();
-                            if !ok {
-                                continue; // silent or monitoring off
-                            }
-                            let snapshot = node.snapshot(now);
-                            pmu.due_messages_into(now, &snapshot, out);
-                            stats.due_messages_into(now, &snapshot, out);
-                        }
-                    });
-                }
-            });
-            if monitoring {
-                let batch: Vec<(Topic, Payload)> = self
-                    .plugin_scratch
-                    .iter_mut()
-                    .flat_map(|out| out.drain(..))
-                    .collect();
-                self.broker.publish_batch(batch, pool);
+        for i in 0..self.nodes.len() {
+            self.nodes[i].advance(dt);
+            if !monitoring || !switch_up || self.now < self.sensor_dropout_until[i] {
+                continue; // silent, switch dark, or monitoring off
             }
-        } else {
-            for i in 0..self.nodes.len() {
-                self.nodes[i].advance(dt);
-                if !monitoring || !switch_up || self.now < self.sensor_dropout_until[i] {
-                    continue; // silent, switch dark, or monitoring off
-                }
-                let mut out = std::mem::take(&mut self.plugin_scratch[i]);
-                out.clear();
-                let snapshot = self.nodes[i].snapshot(self.now);
-                self.pmu[i].due_messages_into(self.now, &snapshot, &mut out);
-                self.stats[i].due_messages_into(self.now, &snapshot, &mut out);
-                for (topic, payload) in out.drain(..) {
-                    self.broker.publish(&topic, payload);
-                }
-                self.plugin_scratch[i] = out;
+            let mut out = std::mem::take(&mut self.plugin_scratch[i]);
+            out.clear();
+            let snapshot = self.nodes[i].snapshot(self.now);
+            self.pmu[i].due_messages_into(self.now, &snapshot, &mut out);
+            self.stats[i].due_messages_into(self.now, &snapshot, &mut out);
+            for (topic, payload) in out.drain(..) {
+                self.broker.publish(&topic, payload);
             }
+            self.plugin_scratch[i] = out;
         }
         if monitoring {
             if let Some(collector) = &mut self.collector {
@@ -1484,9 +1329,82 @@ impl SimEngine {
         }
     }
 
-    /// Phase 5b: the thermal governor's per-node decision, shared by the
-    /// full step and the fast-forward microstep (which must replicate it
-    /// exactly at the tick a threshold is crossed).
+    /// Phase 4's noise-free mean power of every node at its current
+    /// temperature, workload and DVFS state, into `out` (cleared first):
+    /// the quantity the thermal and energy integrators consume.
+    fn mean_node_power_into(&self, out: &mut Vec<Power>) {
+        out.clear();
+        out.extend(self.nodes.iter().enumerate().map(|(i, node)| {
+            let workload = node.effective_power_workload();
+            let temp = self.thermal.temperature(i);
+            let scale = node.cpufreq().scale();
+            self.power.mean_all_dvfs(workload, temp, scale).total()
+        }));
+    }
+
+    /// Phase 4's power telemetry: one noisy reading per node that has not
+    /// dropped out, drawn serially in node order, appended to `out`. A
+    /// stuck sensor repeats its last reading; an active payload-corruption
+    /// span flips the sign bit of the value on the wire (after the RNG
+    /// draw, so the noise stream is untouched): the reading becomes
+    /// implausible and the ingestion scrub quarantines it.
+    fn sample_power_messages(&mut self, out: &mut Vec<(Topic, Payload)>) {
+        for i in 0..self.nodes.len() {
+            if self.now < self.sensor_dropout_until[i] {
+                continue; // dropped out: no draw, no message
+            }
+            let stuck = self.now < self.sensor_stuck_until[i];
+            let workload = self.nodes[i].effective_power_workload();
+            let temp = self.thermal.temperature(i);
+            let scale = self.nodes[i].cpufreq().scale();
+            let measured = self
+                .power
+                .sample_all_dvfs(workload, temp, scale, &mut self.rng)
+                .total()
+                .as_watts();
+            let watts = match (stuck, self.last_power[i]) {
+                (true, Some(frozen)) => frozen,
+                _ => measured,
+            };
+            let watts = if self.now < self.payload_corrupt_until[i] {
+                f64::from_bits(watts.to_bits() ^ (1u64 << 63))
+            } else {
+                watts
+            };
+            out.push((self.power_topic(i), Payload::new(watts, self.now)));
+            if !stuck {
+                self.last_power[i] = Some(measured);
+            }
+        }
+    }
+
+    /// Phases 5/5b, shared by the full step, the monitored replay and the
+    /// thermal microstep: records the tick's blade power, integrates the
+    /// thermal model, handles trips, pushes the new temperatures into the
+    /// nodes and runs the thermal governor. Returns whether a node tripped
+    /// or the governor moved an operating point — state beyond the
+    /// integrator changed, so a fast-forward must resume full stepping.
+    fn thermal_phase(&mut self, node_power: &[Power]) -> bool {
+        self.record_blade_power(node_power);
+        let tripped = self.thermal.step(node_power, self.config.dt);
+        let any_trip = !tripped.is_empty();
+        for node_index in tripped {
+            self.handle_trip(node_index);
+        }
+        for i in 0..self.nodes.len() {
+            let (cpu, mb, nvme) = (
+                self.thermal.temperature(i),
+                self.thermal.mb_temperature(i),
+                self.thermal.nvme_temperature(i),
+            );
+            self.nodes[i].set_temperatures(cpu, mb, nvme);
+        }
+        let governed = self.govern();
+        any_trip || governed
+    }
+
+    /// Phase 5b: the thermal governor's per-node decision, run by
+    /// [`SimEngine::thermal_phase`] at every executed or replayed tick.
     fn govern(&mut self) -> bool {
         let Some(governor) = self.config.governor else {
             return false;
@@ -1974,8 +1892,6 @@ impl SimEngine {
                 *slot = rec.control.next_suspicion_due(i, self.now + dt, wake, dt);
             }
         }
-        // A node's power topic is identical every tick; build each once.
-        let power_topics: Vec<Topic> = (0..n).map(|i| self.power_topic(i)).collect();
         let mut equilibrium = false;
         let mut node_power: Vec<Power> = Vec::with_capacity(n);
         let mut prev_temps: Vec<Celsius> = Vec::with_capacity(n);
@@ -2010,76 +1926,21 @@ impl SimEngine {
             // thermal model is frozen once the integrator settles.
             let switch_up = self.switch.is_up(self.now);
             if !equilibrium {
-                node_power.clear();
+                self.mean_node_power_into(&mut node_power);
                 prev_temps.clear();
-                for i in 0..n {
-                    let workload = self.nodes[i].effective_power_workload();
-                    let temp = self.thermal.temperature(i);
-                    prev_temps.push(temp);
-                    let scale = self.nodes[i].cpufreq().scale();
-                    node_power.push(self.power.mean_all_dvfs(workload, temp, scale).total());
-                }
+                prev_temps.extend((0..n).map(|i| self.thermal.temperature(i)));
             }
             let mut batch = std::mem::take(&mut self.replay_batch);
             batch.clear();
             if switch_up {
-                for (i, topic) in power_topics.iter().enumerate() {
-                    if self.now < self.sensor_dropout_until[i] {
-                        continue; // dropped out: no draw, no message
-                    }
-                    let stuck = self.now < self.sensor_stuck_until[i];
-                    let workload = self.nodes[i].effective_power_workload();
-                    let temp = self.thermal.temperature(i);
-                    let scale = self.nodes[i].cpufreq().scale();
-                    let measured = self
-                        .power
-                        .sample_all_dvfs(workload, temp, scale, &mut self.rng)
-                        .total()
-                        .as_watts();
-                    let watts = match (stuck, self.last_power[i]) {
-                        (true, Some(frozen)) => frozen,
-                        _ => measured,
-                    };
-                    // Same wire-level sign flip as the full step's phase 4.
-                    let watts = if self.now < self.payload_corrupt_until[i] {
-                        f64::from_bits(watts.to_bits() ^ (1u64 << 63))
-                    } else {
-                        watts
-                    };
-                    batch.push((*topic, Payload::new(watts, self.now)));
-                    if !stuck {
-                        self.last_power[i] = Some(measured);
-                    }
-                }
+                self.sample_power_messages(&mut batch);
             }
             // Phases 5/5b: the §13 thermal microstep arithmetic. A trip,
             // governor move or watchdog arming finishes this tick exactly
             // as the full step would, then resumes full stepping.
             let mut resume = false;
             if !equilibrium {
-                self.record_blade_power(&node_power);
-                let tripped = self.thermal.step(&node_power, dt);
-                let any_trip = !tripped.is_empty();
-                for node_index in tripped {
-                    self.handle_trip(node_index);
-                }
-                for i in 0..n {
-                    let (cpu, mb, nvme) = (
-                        self.thermal.temperature(i),
-                        self.thermal.mb_temperature(i),
-                        self.thermal.nvme_temperature(i),
-                    );
-                    self.nodes[i].set_temperatures(cpu, mb, nvme);
-                }
-                let governed = self.govern();
-                if any_trip || governed {
-                    resume = true;
-                } else if let Some(rec) = &self.recovery {
-                    let temps: Vec<Celsius> = (0..n).map(|i| self.thermal.temperature(i)).collect();
-                    if !rec.control.is_quiescent(&temps) {
-                        resume = true;
-                    }
-                }
+                resume = self.thermal_phase(&node_power) || !self.watchdog_quiescent();
                 if !resume {
                     equilibrium = (0..n).all(|i| self.thermal.temperature(i) == prev_temps[i]);
                 }
@@ -2136,46 +1997,18 @@ impl SimEngine {
     /// exact arithmetic and ordering of the full step, then advances the
     /// clock one `dt`.
     fn thermal_microstep(&mut self) -> Microstep {
-        let dt = self.config.dt;
         let n = self.nodes.len();
+        let prev_temps: Vec<Celsius> = (0..n).map(|i| self.thermal.temperature(i)).collect();
         let mut node_power = Vec::with_capacity(n);
-        let mut prev_temps = Vec::with_capacity(n);
-        for i in 0..n {
-            let workload = self.nodes[i].effective_power_workload();
-            let temp = self.thermal.temperature(i);
-            let scale = self.nodes[i].cpufreq().scale();
-            prev_temps.push(temp);
-            node_power.push(self.power.mean_all_dvfs(workload, temp, scale).total());
-        }
-        self.record_blade_power(&node_power);
-        let tripped = self.thermal.step(&node_power, dt);
-        let any_trip = !tripped.is_empty();
-        for node_index in tripped {
-            self.handle_trip(node_index);
-        }
-        for i in 0..n {
-            let (cpu, mb, nvme) = (
-                self.thermal.temperature(i),
-                self.thermal.mb_temperature(i),
-                self.thermal.nvme_temperature(i),
-            );
-            self.nodes[i].set_temperatures(cpu, mb, nvme);
-        }
+        self.mean_node_power_into(&mut node_power);
         // The governor fires at this tick exactly as phase 5b would.
-        let governed = self.govern();
+        let changed = self.thermal_phase(&node_power);
         self.ticks_skipped += 1;
-        self.now += dt;
-        if any_trip || governed {
-            // State beyond the integrator changed: resume full stepping.
-            return Microstep::Resume;
-        }
+        self.now += self.config.dt;
         // The *next* tick's control plane reads the temperatures just
         // set; crossing a watchdog line ends the skippable span.
-        if let Some(rec) = &self.recovery {
-            let temps: Vec<Celsius> = (0..n).map(|i| self.thermal.temperature(i)).collect();
-            if !rec.control.is_quiescent(&temps) {
-                return Microstep::Resume;
-            }
+        if changed || !self.watchdog_quiescent() {
+            return Microstep::Resume;
         }
         let settled = (0..n).all(|i| self.thermal.temperature(i) == prev_temps[i]);
         if settled {
@@ -2183,6 +2016,19 @@ impl SimEngine {
         } else {
             Microstep::Advanced
         }
+    }
+
+    /// Whether the control plane's thermal watchdog stays quiet at the
+    /// current temperatures (always, without recovery). The next tick's
+    /// control plane reads these temperatures, so a fast-forward that
+    /// crosses a watchdog line must resume full stepping.
+    fn watchdog_quiescent(&self) -> bool {
+        self.recovery.as_ref().is_none_or(|rec| {
+            let temps: Vec<Celsius> = (0..self.nodes.len())
+                .map(|i| self.thermal.temperature(i))
+                .collect();
+            rec.control.is_quiescent(&temps)
+        })
     }
 
     /// The partition cutting the management network right now, if any.
@@ -3271,71 +3117,6 @@ mod tests {
         engine.submit(synthetic(1, 5)).unwrap();
         engine.run_for(SimDuration::from_secs(8));
         assert!(engine.store().is_empty());
-    }
-
-    #[test]
-    fn threaded_stepping_is_bit_identical_to_serial() {
-        // The whole parallel contract in one test: a threaded engine must
-        // be indistinguishable from a serial one — same telemetry stream
-        // (every power/PMU/stats point, bitwise), same events, same clock.
-        let run = |threads: usize| {
-            let mut engine = SimEngine::new(EngineConfig {
-                threads,
-                parallel_grain: 1, // force the pool despite only 8 nodes
-                ..EngineConfig::default()
-            });
-            assert_eq!(engine.parallel_engaged(), threads != 1);
-            engine.submit(synthetic(8, 40)).unwrap();
-            engine.submit(synthetic(3, 15)).unwrap();
-            for _ in 0..120 {
-                engine.step();
-            }
-            engine
-        };
-        let serial = run(1);
-        for threads in [2, 4] {
-            let threaded = run(threads);
-            assert_eq!(serial.now(), threaded.now());
-            assert_eq!(serial.events(), threaded.events());
-            assert!(
-                serial.store() == threaded.store(),
-                "telemetry stores diverge at {threads} threads \
-                 ({} vs {} points)",
-                serial.store().point_count(),
-                threaded.store().point_count(),
-            );
-        }
-    }
-
-    #[test]
-    fn auto_thread_count_sizes_a_pool_and_still_runs() {
-        let mut engine = SimEngine::new(EngineConfig {
-            threads: 0, // auto: host-sized pool (CIMONE_THREADS honoured)
-            parallel_grain: 1,
-            ..EngineConfig::default()
-        });
-        engine.submit(synthetic(2, 5)).unwrap();
-        assert!(engine.run_until_idle(SimDuration::from_secs(60)));
-        assert!(engine.store().point_count() > 0);
-    }
-
-    #[test]
-    fn small_machines_fall_back_to_serial_stepping() {
-        // 8 nodes / 4 workers = 2 nodes per worker, below the default
-        // grain of 8: the pool must not engage.
-        let auto = SimEngine::new(EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        });
-        assert!(!auto.parallel_engaged(), "grain must gate the pool");
-        let forced = SimEngine::new(EngineConfig {
-            threads: 4,
-            parallel_grain: 1,
-            ..EngineConfig::default()
-        });
-        assert!(forced.parallel_engaged());
-        let serial = SimEngine::new(EngineConfig::default());
-        assert!(!serial.parallel_engaged());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The event-driven clock's bit-identity contract (DESIGN.md §13): an
 //! [`ClockMode::EventDriven`] run must be byte-equal to the fixed-dt run
 //! at the same `dt` — telemetry store, event log, accounting, final
-//! clock, thermal state — serially and threaded, with and without
-//! faults, recovery and checkpointing.
+//! clock, thermal state — with and without faults, recovery and
+//! checkpointing.
 
 use proptest::prelude::*;
 
@@ -243,16 +243,14 @@ fn governor_thresholds_fire_at_identical_ticks_under_fast_forward() {
     assert_bit_identical(&fixed, &event, "governor under fast-forward");
 }
 
-/// Threaded event-driven runs match the serial fixed-dt reference: the
-/// clock mode and the worker pool compose without breaking determinism.
+/// An event-driven run through a mid-job node crash matches the fixed-dt
+/// reference.
 #[test]
-fn threaded_event_runs_match_serial_fixed_runs() {
-    let run = |clock: ClockMode, threads: usize| {
+fn event_runs_through_a_node_crash_match_fixed_runs() {
+    let run = |clock: ClockMode| {
         let mut engine = SimEngine::new(EngineConfig {
             monitoring: false,
             dt: SimDuration::from_secs(1),
-            threads,
-            parallel_grain: 1, // force the pool despite only 8 nodes
             clock,
             ..EngineConfig::default()
         })
@@ -263,23 +261,17 @@ fn threaded_event_runs_match_serial_fixed_runs() {
         engine.run_for(SimDuration::from_secs(1800));
         engine
     };
-    let reference = run(ClockMode::FixedDt, 1);
-    for threads in 1..=4 {
-        let event = run(ClockMode::EventDriven, threads);
-        assert_bit_identical(
-            &reference,
-            &event,
-            &format!("event clock at {threads} threads"),
-        );
-    }
+    let reference = run(ClockMode::FixedDt);
+    let event = run(ClockMode::EventDriven);
+    assert_bit_identical(&reference, &event, "event clock");
 }
 
 /// The blade fault domains — a governed brownout, a fan failure with its
 /// airflow shadow, and a PSU failure — composed in one plan: byte-equal
-/// across clock modes and 1..=4 threads, with the recovery stack (and its
-/// cap-aware failure detector) running underneath.
+/// across clock modes, with the recovery stack (and its cap-aware failure
+/// detector) running underneath.
 #[test]
-fn blade_fault_domains_are_bit_identical_across_modes_and_threads() {
+fn blade_fault_domains_are_bit_identical_across_modes() {
     let plan = || {
         FaultPlan::new()
             .with(
@@ -301,12 +293,10 @@ fn blade_fault_domains_are_bit_identical_across_modes_and_threads() {
             .with(SimTime::from_secs(700), FaultKind::NodeRecover { node: 6 })
             .with(SimTime::from_secs(700), FaultKind::NodeRecover { node: 7 })
     };
-    let run = |clock: ClockMode, threads: usize| {
+    let run = |clock: ClockMode| {
         let mut engine = SimEngine::new(EngineConfig {
             monitoring: false,
             dt: SimDuration::from_secs(1),
-            threads,
-            parallel_grain: 1, // force the pool despite only 8 nodes
             recovery: Some(RecoveryConfig::with_checkpoints(SimDuration::from_secs(60))),
             clock,
             ..EngineConfig::default()
@@ -317,7 +307,7 @@ fn blade_fault_domains_are_bit_identical_across_modes_and_threads() {
         engine.run_for(SimDuration::from_secs(2400));
         engine
     };
-    let reference = run(ClockMode::FixedDt, 1);
+    let reference = run(ClockMode::FixedDt);
     assert!(
         reference
             .events()
@@ -325,19 +315,13 @@ fn blade_fault_domains_are_bit_identical_across_modes_and_threads() {
             .any(|e| matches!(e, EngineEvent::BladeCapped { blade: 1, .. })),
         "the brownout must engage the governor"
     );
-    for threads in 1..=4 {
-        let event = run(ClockMode::EventDriven, threads);
-        assert_bit_identical(
-            &reference,
-            &event,
-            &format!("blade fault domains at {threads} threads"),
-        );
-        assert_eq!(
-            reference.brownout_peak_power(1),
-            event.brownout_peak_power(1),
-            "peak-power accounting diverged at {threads} threads"
-        );
-    }
+    let event = run(ClockMode::EventDriven);
+    assert_bit_identical(&reference, &event, "blade fault domains");
+    assert_eq!(
+        reference.brownout_peak_power(1),
+        event.brownout_peak_power(1),
+        "peak-power accounting diverged"
+    );
 }
 
 proptest! {
@@ -393,7 +377,7 @@ proptest! {
     /// governed blade's power never exceeds `budget_frac ×` the rated rail
     /// budget at any tick — checked tick by tick against the exact
     /// quantity the governor bounds — and the whole brownout run is
-    /// bit-identical across clock modes and 1..=4 threads.
+    /// bit-identical across clock modes.
     #[test]
     fn capped_blade_power_never_exceeds_the_budget(
         budget_pct in 65u32..=95,
@@ -435,14 +419,12 @@ proptest! {
         prop_assert!(engine.brownout_peak_power(0) <= budget + 1e-9);
         prop_assert!(engine.brownout_peak_power(0) > 0.0);
 
-        // Whole-run identity: clock modes and thread counts agree.
-        let run = |clock: ClockMode, threads: usize| {
+        // Whole-run identity: the clock modes agree.
+        let run = |clock: ClockMode| {
             let mut engine = SimEngine::new(EngineConfig {
                 monitoring: false,
                 dt: SimDuration::from_secs(2),
                 seed,
-                threads,
-                parallel_grain: 1,
                 clock,
                 ..EngineConfig::default()
             })
@@ -451,17 +433,15 @@ proptest! {
             engine.run_for(SimDuration::from_secs(1200));
             engine
         };
-        let reference = run(ClockMode::FixedDt, 1);
-        for threads in 1..=4 {
-            let event = run(ClockMode::EventDriven, threads);
-            prop_assert_eq!(reference.now(), event.now());
-            prop_assert_eq!(reference.events(), event.events());
-            prop_assert_eq!(reference.accounting(), event.accounting());
-            prop_assert!(reference.thermal() == event.thermal());
-            prop_assert_eq!(
-                reference.brownout_peak_power(0).to_bits(),
-                event.brownout_peak_power(0).to_bits()
-            );
-        }
+        let reference = run(ClockMode::FixedDt);
+        let event = run(ClockMode::EventDriven);
+        prop_assert_eq!(reference.now(), event.now());
+        prop_assert_eq!(reference.events(), event.events());
+        prop_assert_eq!(reference.accounting(), event.accounting());
+        prop_assert!(reference.thermal() == event.thermal());
+        prop_assert_eq!(
+            reference.brownout_peak_power(0).to_bits(),
+            event.brownout_peak_power(0).to_bits()
+        );
     }
 }

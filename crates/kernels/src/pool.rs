@@ -1,5 +1,5 @@
-//! A reusable fixed-size worker pool for the compute kernels and the
-//! cluster engine's per-node fan-out.
+//! A reusable fixed-size worker pool for the compute kernels (LU, DGEMM,
+//! STREAM).
 //!
 //! The pool is built on the vendored `crossbeam` unbounded channel (job
 //! injection) and `parking_lot` (shared bookkeeping). Workers are spawned

@@ -5,10 +5,9 @@ use std::str::FromStr;
 
 use bytes::Bytes;
 use cimone_soc::units::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One sample as carried on the MQTT transport.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Payload {
     /// The metric value.
     pub value: f64,
