@@ -3,7 +3,8 @@
 //!
 //! Emits `BENCH_kernels.json` (blocked LU GFLOP/s, packed DGEMM GFLOP/s,
 //! STREAM triad GB/s, each serial and on a worker pool, with the
-//! threaded-over-serial speedup) and `BENCH_engine.json` (full-pipeline
+//! threaded-over-serial speedup, plus the host-time cost of ABFT
+//! `Detect` over `Off` on the pooled LU) and `BENCH_engine.json` (full-pipeline
 //! simulation steps/s, plus the event-driven clock's wall-clock ratio
 //! over fixed-dt on a sparse and a dense scenario). Every threaded kernel
 //! is checked bitwise against its serial twin, and every event-driven run
@@ -38,6 +39,7 @@ use std::time::Instant;
 use cimone_bench::{num, obj};
 use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
 use cimone_cluster::faults::{FaultKind, FaultPlan};
+use cimone_kernels::abft::{factor_protected, AbftMode};
 use cimone_kernels::checkpoint::Checkpoint;
 use cimone_kernels::dgemm;
 use cimone_kernels::lu::LuFactorization;
@@ -176,6 +178,61 @@ fn bench_lu(sizes: &Sizes, pool: &WorkerPool, divergences: &mut Vec<String>) -> 
         ("threaded_gflops", num(flops / threaded_s / 1e9)),
         ("speedup", num(speedup)),
         ("bit_identical", JsonValue::Bool(divergences.is_empty())),
+        ("abft", bench_abft(&a, nb, reps, pool, divergences)),
+    ])
+}
+
+/// ABFT `Detect` against `Off` on the pool, best-of-reps (modes
+/// alternate so drifting host load hits both alike). Checksums only read
+/// the factors, so `Detect` must return the `Off` factors bit for bit
+/// and a clean run must raise no mismatch. No time floor: at smoke size
+/// the ratio is too noisy to gate.
+fn bench_abft(
+    a: &Matrix,
+    nb: usize,
+    reps: usize,
+    pool: &WorkerPool,
+    divergences: &mut Vec<String>,
+) -> JsonValue {
+    let n = a.rows();
+    let run = |mode| factor_protected(a.clone(), nb, mode, Some(pool), None).expect("factors");
+    let (off, _) = run(AbftMode::Off);
+    let (detect, report) = run(AbftMode::Detect);
+    let mut identical = true;
+    if detect.packed().as_slice() != off.packed().as_slice() || detect.pivots() != off.pivots() {
+        divergences.push(format!("ABFT LU {n}x{n} nb={nb}: Detect != Off factors"));
+        identical = false;
+    }
+    if report.mismatches != 0 {
+        divergences.push(format!(
+            "ABFT LU {n}x{n} nb={nb}: clean run reported {} mismatches",
+            report.mismatches
+        ));
+        identical = false;
+    }
+    let (mut off_times, mut detect_times) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        for (mode, times) in [
+            (AbftMode::Off, &mut off_times),
+            (AbftMode::Detect, &mut detect_times),
+        ] {
+            let start = Instant::now();
+            std::hint::black_box(run(mode));
+            times.push(start.elapsed().as_secs_f64());
+        }
+    }
+    let (off_s, detect_s) = (best(&off_times), best(&detect_times));
+    let time_frac = detect_s / off_s - 1.0;
+    println!(
+        "ABFT LU n={n:<8} nb={nb:<4} off {:>8.2} ms  detect {:>8.2} ms  time_frac {time_frac:.3}",
+        off_s * 1e3,
+        detect_s * 1e3,
+    );
+    obj(vec![
+        ("detect_ms", num(detect_s * 1e3)),
+        ("off_ms", num(off_s * 1e3)),
+        ("time_frac", num(time_frac)),
+        ("bit_identical", JsonValue::Bool(identical)),
     ])
 }
 

@@ -136,22 +136,7 @@ impl SteppableLu {
     ///
     /// Returns [`LuError::Singular`] when an exact zero pivot appears.
     pub fn step(&mut self) -> Result<bool, LuError> {
-        let n = self.order();
-        if self.is_complete() {
-            return Ok(false);
-        }
-        let k = self.next_col;
-        let kb = self.block.min(n - k);
-        crate::lu::factor_panel(&mut self.a, k, kb, &mut self.pivots)?;
-        if k + kb < n {
-            crate::lu::solve_block_row(&mut self.a, k, kb);
-            crate::lu::update_trailing(&mut self.a, k, kb);
-        }
-        self.next_col = k + kb;
-        if self.is_complete() {
-            crate::lu::apply_deferred_swaps(&mut self.a, &self.pivots, self.block);
-        }
-        Ok(!self.is_complete())
+        self.advance(None)
     }
 
     /// Like [`step`](SteppableLu::step), but runs the fused block-row
@@ -165,6 +150,10 @@ impl SteppableLu {
     ///
     /// Returns [`LuError::Singular`] when an exact zero pivot appears.
     pub fn step_with_pool(&mut self, pool: &WorkerPool) -> Result<bool, LuError> {
+        self.advance(Some(pool))
+    }
+
+    fn advance(&mut self, pool: Option<&WorkerPool>) -> Result<bool, LuError> {
         let n = self.order();
         if self.is_complete() {
             return Ok(false);
@@ -172,9 +161,7 @@ impl SteppableLu {
         let k = self.next_col;
         let kb = self.block.min(n - k);
         crate::lu::factor_panel(&mut self.a, k, kb, &mut self.pivots)?;
-        if k + kb < n {
-            crate::lu::update_trailing_parallel(&mut self.a, k, kb, pool);
-        }
+        crate::lu::update_trailing(&mut self.a, k, kb, pool, None);
         self.next_col = k + kb;
         if self.is_complete() {
             crate::lu::apply_deferred_swaps(&mut self.a, &self.pivots, self.block);
@@ -295,9 +282,13 @@ mod tests {
             .unwrap()
             .run_to_completion()
             .unwrap();
-        let direct = LuFactorization::factor(a, 8).unwrap();
+        let direct = LuFactorization::factor(a.clone(), 8).unwrap();
         assert_eq!(stepped.packed().as_slice(), direct.packed().as_slice());
         assert_eq!(stepped.pivots(), direct.pivots());
+        let mut reference = a.as_slice().to_vec();
+        let pivots = crate::lu::reference::factor(&mut reference, 40, 8).unwrap();
+        assert_eq!(stepped.packed().as_slice(), &reference[..]);
+        assert_eq!(stepped.pivots(), &pivots[..]);
     }
 
     #[test]

@@ -6,18 +6,22 @@
 //! solve for the block row of `U`, and a GEMM-shaped trailing-submatrix
 //! update that dominates the FLOP count.
 //!
-//! Two trailing-update paths share one numerical contract:
-//! [`LuFactorization::factor`] walks the update with the reference
-//! per-element loops, while [`LuFactorization::factor_parallel`] packs
-//! `L21` into a contiguous buffer and fans the trailing columns out over a
-//! [`WorkerPool`] with a register-blocked axpy kernel. Each trailing
-//! column is updated by the identical per-element operation sequence
-//! (`p` ascending, `c −= l·mult` with one rounding per multiply and one
-//! per subtract) in both paths, so the factors are **bit-identical** at
-//! any worker count.
+//! Every caller runs the trailing update through one packed kernel:
+//! [`LuFactorization::factor`], the checkpointable stepper and the serial
+//! ABFT path run it as a single tile on the calling thread, while
+//! [`LuFactorization::factor_parallel`] fans disjoint column tiles out
+//! over a [`WorkerPool`]. `L21` is packed once per panel into a
+//! contiguous buffer and every tile streams it through a register-blocked
+//! accumulate kernel. Each trailing column is updated by the identical
+//! per-element operation sequence (`p` ascending, `c + l·(−mult)` with
+//! one rounding per multiply and one per add) whichever tile holds it,
+//! so the factors are **bit-identical** at any worker count. The ABFT
+//! checksums of [`crate::abft`] ride inside the same tiles (see
+//! `update_trailing`).
 
 use std::fmt;
 
+use crate::abft::TileCheck;
 use crate::dgemm::{accum_col, accum_group, axpy, pack_block, put_scratch, take_scratch};
 use crate::matrix::{vec_norm_inf, Matrix};
 use crate::pool::WorkerPool;
@@ -105,10 +109,7 @@ impl LuFactorization {
         for k in (0..n).step_by(block) {
             let kb = block.min(n - k);
             factor_panel(&mut a, k, kb, &mut pivots)?;
-            if k + kb < n {
-                solve_block_row(&mut a, k, kb);
-                update_trailing(&mut a, k, kb);
-            }
+            update_trailing(&mut a, k, kb, None, None);
         }
         apply_deferred_swaps(&mut a, &pivots, block);
 
@@ -122,8 +123,8 @@ impl LuFactorization {
     /// [`factor`](LuFactorization::factor) with the trailing-submatrix
     /// update fanned out over `pool` as packed column tiles.
     ///
-    /// Bit-identical to the serial path at any worker count (see the
-    /// module docs for the argument).
+    /// Bit-identical to [`factor`](LuFactorization::factor) at any worker
+    /// count (see the module docs for the argument).
     ///
     /// # Errors
     ///
@@ -151,9 +152,7 @@ impl LuFactorization {
         for k in (0..n).step_by(block) {
             let kb = block.min(n - k);
             factor_panel(&mut a, k, kb, &mut pivots)?;
-            if k + kb < n {
-                update_trailing_parallel(&mut a, k, kb, pool);
-            }
+            update_trailing(&mut a, k, kb, Some(pool), None);
         }
         apply_deferred_swaps(&mut a, &pivots, block);
 
@@ -340,55 +339,29 @@ pub(crate) fn apply_deferred_swaps(a: &mut Matrix, pivots: &[usize], block: usiz
     }
 }
 
-/// Computes `U12 = L11⁻¹ · A12` (unit-lower triangular solve applied to
-/// each trailing column's panel rows).
-pub(crate) fn solve_block_row(a: &mut Matrix, k: usize, kb: usize) {
-    let n = a.rows();
-    for jj in k + kb..n {
-        for j in k..k + kb {
-            let mult = a[(j, jj)];
-            for i in j + 1..k + kb {
-                let lij = a[(i, j)];
-                a[(i, jj)] -= lij * mult;
-            }
-        }
-    }
-}
-
-/// Trailing update `A22 ← A22 − L21 · U12` (the GEMM that dominates HPL).
-///
-/// This is the unpacked reference walk (one streamed axpy per `(p, jj)`
-/// pair); [`update_trailing_parallel`] performs the same per-element
-/// operation chain through the packed register-tiled kernel.
-pub(crate) fn update_trailing(a: &mut Matrix, k: usize, kb: usize) {
-    let n = a.rows();
-    let rows = n;
-    // Split borrows manually through raw column offsets on the backing slice.
-    for jj in k + kb..n {
-        for p in k..k + kb {
-            let mult = a[(p, jj)];
-            let (l_col_off, c_col_off) = (p * rows, jj * rows);
-            let data = a.as_mut_slice();
-            // L21 lives in rows k+kb..n of column p; C in the same rows of column jj.
-            for i in k + kb..n {
-                let lv = data[l_col_off + i];
-                data[c_col_off + i] -= lv * mult;
-            }
-        }
-    }
-}
-
-/// Fused block-row solve + packed trailing update, fanned out over
-/// `pool` as disjoint column tiles.
+/// The block-row solve `U12 = L11⁻¹ · A12` plus the trailing update
+/// `A22 ← A22 − L21 · U12` of panel `k..k+kb` (the GEMM that dominates
+/// HPL), as disjoint column tiles fanned out over `pool`, or as one tile
+/// on the caller without one.
 ///
 /// Both phases of the right-looking step are *column-local*: solving
-/// `U12[:, jj] = L11⁻¹·A12[:, jj]` touches rows `k..k+kb` of column `jj`,
-/// and the trailing update touches rows `k+kb..n` of the same column,
-/// reading only the (already final) panel columns. Fusing them per tile
-/// therefore preserves the exact per-column operation sequence of
-/// `solve_block_row` + `update_trailing`, while `L21` is packed once into
-/// a contiguous buffer and streamed by a register-blocked axpy kernel.
-pub(crate) fn update_trailing_parallel(a: &mut Matrix, k: usize, kb: usize, pool: &WorkerPool) {
+/// `U12[:, jj]` touches rows `k..k+kb` of column `jj`, and the update
+/// touches rows `k+kb..n` of the same column, reading only the (already
+/// final) panel columns. Fusing them per tile therefore keeps each
+/// column's exact operation sequence whatever the tile split, while
+/// `L21` is packed once into a contiguous buffer and streamed by a
+/// register-blocked kernel.
+///
+/// `check` carries the ABFT verification state of a protected panel;
+/// each tile takes the slice for its own columns and verifies them while
+/// they are still in cache.
+pub(crate) fn update_trailing(
+    a: &mut Matrix,
+    k: usize,
+    kb: usize,
+    pool: Option<&WorkerPool>,
+    check: Option<TileCheck<'_>>,
+) {
     let n = a.rows();
     let trailing = n - (k + kb);
     if trailing == 0 {
@@ -399,37 +372,64 @@ pub(crate) fn update_trailing_parallel(a: &mut Matrix, k: usize, kb: usize, pool
     pack_block(&mut l_buf, a.as_slice(), n, k + kb, trailing, k, kb);
     let l_pack: &[f64] = &l_buf[..trailing * kb];
 
-    let tiles = pool.even_chunks(trailing);
     let data = a.as_mut_slice();
     // Columns 0..k+kb (including the factored panel) are read-only from
     // here; the trailing columns are written, one disjoint tile per task.
     let (head, tail) = data.split_at_mut((k + kb) * n);
     let panel = &head[k * n..];
-    pool.scope(|scope| {
-        let mut rest = tail;
-        let mut offset = 0;
-        for &(_, c1) in &tiles {
-            let (tile, remaining) = rest.split_at_mut((c1 - offset) * n);
-            rest = remaining;
-            offset = c1;
-            scope.spawn(move || update_tile(panel, l_pack, tile, n, k, kb));
+    match pool {
+        None => update_tile(panel, l_pack, tail, n, k, kb, check),
+        Some(pool) => {
+            let tiles = pool.even_chunks(trailing);
+            pool.scope(|scope| {
+                let mut rest = tail;
+                let mut check = check;
+                let mut offset = 0;
+                for &(_, c1) in &tiles {
+                    let (tile, remaining) = rest.split_at_mut((c1 - offset) * n);
+                    rest = remaining;
+                    let (mine, others) = match check {
+                        Some(c) => {
+                            let (mine, others) = c.split_at(c1 - offset);
+                            (Some(mine), Some(others))
+                        }
+                        None => (None, None),
+                    };
+                    check = others;
+                    offset = c1;
+                    scope.spawn(move || update_tile(panel, l_pack, tile, n, k, kb, mine));
+                }
+            });
         }
-    });
+    }
     put_scratch(l_buf);
 }
 
 /// Block-row solve + trailing update for one tile of trailing columns
-/// (`cols` holds whole columns, leading dimension `n`).
+/// (`cols` holds whole columns, leading dimension `n`), verifying each
+/// column against its checksum when `check` is given.
 ///
 /// The update runs `c − l·mult` as `c + l·(−mult)` through the shared
-/// register-tiled accumulate kernel — bit-for-bit the serial chain,
-/// since IEEE 754 defines subtraction as addition of the negation.
-fn update_tile(panel: &[f64], l_pack: &[f64], cols: &mut [f64], n: usize, k: usize, kb: usize) {
+/// register-tiled accumulate kernel — bit-for-bit the textbook chain,
+/// since IEEE 754 defines subtraction as addition of the negation. The
+/// checksums only read the columns, so they never change a bit.
+fn update_tile(
+    panel: &[f64],
+    l_pack: &[f64],
+    cols: &mut [f64],
+    n: usize,
+    k: usize,
+    kb: usize,
+    mut check: Option<TileCheck<'_>>,
+) {
     /// Rows of packed `L21` processed per pass; 48·64·8 B ≈ 24 KiB keeps a
     /// tile L1-resident while every column group streams against it.
     const ROW_PASS: usize = 48;
     let trailing = n - (k + kb);
     let ncols = cols.len() / n;
+    if let Some(check) = check.as_mut() {
+        check.begin(cols, n);
+    }
     // Solve U12 for every tile column first; the update below reads the
     // solved tops only through the negated multiplier pack.
     solve_cols_grouped(panel, cols, n, k, kb);
@@ -440,6 +440,9 @@ fn update_tile(panel: &[f64], l_pack: &[f64], cols: &mut [f64], n: usize, k: usi
             f_pack[c * kb + p] = -col[k + p];
         }
     }
+    if let Some(check) = check.as_mut() {
+        check.flip_top(cols, n);
+    }
     let mut bottoms: Vec<&mut [f64]> = cols
         .chunks_exact_mut(n)
         .map(|col| col.split_at_mut(k + kb).1)
@@ -447,12 +450,17 @@ fn update_tile(panel: &[f64], l_pack: &[f64], cols: &mut [f64], n: usize, k: usi
     // Row-tiled update: each L21 row pass stays cache-resident while all
     // column groups stream against it. Per element the `p`-ascending
     // accumulate chain is unchanged, so the factors stay bit-identical.
+    // Row passes run in ascending order, so a column's checksum chain
+    // visits its rows in ascending order too.
     let mut i0 = 0;
     while i0 < trailing {
         let ir = ROW_PASS.min(trailing - i0);
         let l_tile = &l_pack[i0..];
         let mut c = 0;
         for group in bottoms.chunks_mut(4) {
+            if let Some(check) = check.as_mut() {
+                check.sum_before(c, group, i0..i0 + ir);
+            }
             if let [b0, b1, b2, b3] = group {
                 accum_group(
                     l_tile,
@@ -477,11 +485,17 @@ fn update_tile(panel: &[f64], l_pack: &[f64], cols: &mut [f64], n: usize, k: usi
                     );
                 }
             }
+            if let Some(check) = check.as_mut() {
+                check.sum_after(c, group, i0..i0 + ir);
+            }
             c += group.len();
         }
         i0 += ir;
     }
     put_scratch(f_pack);
+    if let Some(check) = check {
+        check.verify(cols, n, k, kb);
+    }
 }
 
 /// Lanes solved together by the transposed block-row solve: sixteen
@@ -615,8 +629,8 @@ fn solve_tops(panel: &[f64], t: &mut [f64], n: usize, k: usize, kb: usize) {
 
 /// `col[k..k+kb] ← L11⁻¹ · col[k..k+kb]` for one trailing column, reading
 /// the unit-lower panel from `panel` (columns `k..k+kb`, leading
-/// dimension `n`). Per-element identical to `solve_block_row`'s inner
-/// loops for that column.
+/// dimension `n`). Per-element identical to the textbook block-row
+/// solve's inner loops for that column.
 fn solve_col(panel: &[f64], col: &mut [f64], n: usize, k: usize, kb: usize) {
     for j in 0..kb {
         let mult = col[k + j];
@@ -653,6 +667,12 @@ pub fn hpl_residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
 
 /// Threshold below which HPL declares a run numerically correct.
 pub const HPL_RESIDUAL_THRESHOLD: f64 = 16.0;
+
+/// The unpacked reference walk, the independent oracle of the
+/// bit-identity tests.
+#[cfg(test)]
+#[path = "../tests/support/reference_lu.rs"]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -13,6 +13,9 @@ use cimone_kernels::matrix::Matrix;
 use cimone_kernels::pool::WorkerPool;
 use cimone_kernels::stream::{StreamConfig, StreamRun};
 
+#[path = "support/reference_lu.rs"]
+mod reference_lu;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -159,11 +162,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(n, n, &mut rng);
         let pool = WorkerPool::new(threads);
+        let mut reference = a.as_slice().to_vec();
+        let pivots = reference_lu::factor(&mut reference, n, nb).expect("nonsingular");
         let serial = LuFactorization::factor(a.clone(), nb).expect("nonsingular");
         let threaded = LuFactorization::factor_parallel(a, nb, &pool).expect("nonsingular");
-        // Bitwise, not approximately: the pool must not change a single ulp.
-        prop_assert_eq!(serial.packed().as_slice(), threaded.packed().as_slice());
-        prop_assert_eq!(serial.pivots(), threaded.pivots());
+        // Bitwise, not approximately: neither the packed kernel nor the
+        // pool may change a single ulp of the unpacked reference walk.
+        prop_assert_eq!(serial.packed().as_slice(), &reference[..]);
+        prop_assert_eq!(serial.pivots(), &pivots[..]);
+        prop_assert_eq!(threaded.packed().as_slice(), &reference[..]);
+        prop_assert_eq!(threaded.pivots(), &pivots[..]);
     }
 
     #[test]
