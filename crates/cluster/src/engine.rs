@@ -89,10 +89,11 @@ pub enum ClockMode {
     /// behaviour, and the reference the event-driven mode is held to).
     #[default]
     FixedDt,
-    /// Due-time scheduling: provably inert ticks are fast-forwarded with
-    /// only the thermal integrator advanced, and the engine wakes at the
-    /// next due event (fault, heartbeat, phi crossing, backoff release,
-    /// span expiry). Observable outputs — telemetry, events, TSDB
+    /// Due-time scheduling: observation-only ticks are fast-forwarded
+    /// through just their observable slice (heartbeats, telemetry,
+    /// thermal), jumped outright once the machine is thermally settled
+    /// with telemetry off, and the engine wakes at the next due event
+    /// (fault, phi crossing, backoff release, span expiry). Observable outputs — telemetry, events, TSDB
     /// contents, final clock — are bit-identical to [`ClockMode::FixedDt`]
     /// at the same `dt`.
     EventDriven,
@@ -435,18 +436,6 @@ struct RunningJob {
     sdc_factored: u32,
 }
 
-/// Outcome of one fast-forward microstep.
-enum Microstep {
-    /// Temperatures moved; keep microstepping.
-    Advanced,
-    /// The integrator is at its f64 fixed point: the remaining skippable
-    /// span can be jumped without further arithmetic.
-    Equilibrium,
-    /// Something beyond the integrator changed (trip, governor action,
-    /// watchdog threshold): resume full stepping.
-    Resume,
-}
-
 /// The Monte Cimone simulation engine.
 ///
 /// # Examples
@@ -551,19 +540,17 @@ pub struct SimEngine {
     failures: usize,
     /// The recovery subsystem, when configured.
     recovery: Option<RecoveryState>,
-    /// Per-node message buffers reused across ticks by the plugin
-    /// sampling phase (avoids two Vec allocations per node per tick).
-    plugin_scratch: Vec<Vec<(Topic, Payload)>>,
-    /// Per-node snapshots reused across replay ticks: `snapshot_into`
-    /// refills them without allocating once warm.
+    /// Per-node snapshots reused across ticks: `snapshot_into` refills
+    /// them without allocating once warm.
     snap_scratch: Vec<NodeSnapshot>,
-    /// Tick-level message batch reused by the §16 replay, drained by
-    /// [`Broker::publish_batch_serial`] each tick.
-    replay_batch: Vec<(Topic, Payload)>,
+    /// The tick's telemetry (power samples, then plugin samples), reused
+    /// across ticks and drained by [`Broker::publish_batch_serial`] once
+    /// per executed or replayed tick.
+    tick_batch: Vec<(Topic, Payload)>,
     /// Ticks executed through the full step pipeline.
     ticks_stepped: u64,
-    /// Ticks fast-forwarded by the event-driven clock (thermal-only
-    /// microsteps and equilibrium jumps).
+    /// Ticks the event-driven clock fast-forwarded: replayed through the
+    /// observation slice, or jumped at thermal equilibrium.
     ticks_skipped: u64,
 }
 
@@ -600,8 +587,7 @@ impl SimEngine {
         let nodes: Vec<ComputeNode> = (0..8).map(ComputeNode::new).collect();
         let schema = ExamonSchema::monte_cimone();
         let broker = Broker::new();
-        let collector = Collector::attach(&broker, "#".parse().expect("valid filter"))
-            .with_scrub(ScrubPolicy::monte_cimone());
+        let collector = config.monitoring.then(|| ingestion_collector(&broker));
         // The engine's power samples already include temperature-dependent
         // leakage, so the thermal model's own feedback term is disabled to
         // avoid double-counting the runaway loop.
@@ -672,7 +658,7 @@ impl SimEngine {
             workloads: HashMap::new(),
             accounting: AccountingLog::new(),
             broker,
-            collector: Some(collector),
+            collector,
             store: TimeSeriesStore::new(),
             pmu,
             stats,
@@ -711,9 +697,8 @@ impl SimEngine {
             node_downtime: vec![SimDuration::ZERO; n],
             failures: 0,
             recovery,
-            plugin_scratch: (0..n).map(|_| Vec::new()).collect(),
             snap_scratch: (0..n).map(|_| NodeSnapshot::default()).collect(),
-            replay_batch: Vec::new(),
+            tick_batch: Vec::new(),
             ticks_stepped: 0,
             ticks_skipped: 0,
         }
@@ -894,7 +879,7 @@ impl SimEngine {
 
     /// Records this tick's per-blade power and, while a blade is under an
     /// active brownout budget (governed or crash-only), tracks the peak.
-    /// Called with the same mean powers phase 4 and the thermal microstep
+    /// Called with the same mean powers phase 4 and the fast-forward
     /// integrate, so the peak is the exact governed quantity.
     fn record_blade_power(&mut self, node_power: &[Power]) {
         for blade in 0..self.last_blade_power.len() {
@@ -1013,8 +998,9 @@ impl SimEngine {
         self.ticks_stepped
     }
 
-    /// Ticks the event-driven clock fast-forwarded (thermal-only
-    /// microsteps plus equilibrium jumps). Zero under
+    /// Ticks the event-driven clock fast-forwarded: replayed through
+    /// the observation slice (heartbeats, telemetry when monitoring is
+    /// on, thermal) or jumped at thermal equilibrium. Zero under
     /// [`ClockMode::FixedDt`].
     pub fn ticks_skipped(&self) -> u64 {
         self.ticks_skipped
@@ -1251,19 +1237,18 @@ impl SimEngine {
         // 4. Power and energy. The thermal and energy integrators consume
         //    the noise-free *mean* power (sensor noise is a measurement
         //    artefact, not physics); the noisy sample is drawn only when a
-        //    reading is actually published, serially in node order.
+        //    reading is actually published, serially in node order, into
+        //    the tick's batch.
         let mut node_power = Vec::with_capacity(self.nodes.len());
         self.mean_node_power_into(&mut node_power);
-        let mut power_messages: Vec<(Topic, Payload)> = Vec::with_capacity(self.nodes.len());
         // A dead management switch silences every node's telemetry at once
         // (the broker lives across it), exactly like a cluster-wide sensor
         // dropout.
         let switch_up = self.switch.is_up(self.now);
+        let mut batch = std::mem::take(&mut self.tick_batch);
+        batch.clear();
         if self.config.monitoring && switch_up {
-            self.sample_power_messages(&mut power_messages);
-        }
-        for (topic, payload) in power_messages {
-            self.broker.publish(&topic, payload);
+            self.sample_power_messages(&mut batch);
         }
         for job in self.running.values_mut() {
             let p: Power = job.node_indices.iter().map(|&i| node_power[i]).sum();
@@ -1273,47 +1258,56 @@ impl SimEngine {
         // 5/5b. Thermal step, trip handling and the thermal governor.
         self.thermal_phase(&node_power);
 
-        // 6. Node execution + monitoring plugins in one pass: each node
-        //    advances its counters, snapshots, and samples its due plugins
-        //    (node.advance reads only the conditions and DVFS state fixed
-        //    in earlier phases, so running it after power/thermal is
-        //    equivalent). Per-node buffers are reused across ticks.
-        let monitoring = self.config.monitoring;
-        for i in 0..self.nodes.len() {
-            self.nodes[i].advance(dt);
-            if !monitoring || !switch_up || self.now < self.sensor_dropout_until[i] {
-                continue; // silent, switch dark, or monitoring off
-            }
-            let mut out = std::mem::take(&mut self.plugin_scratch[i]);
-            out.clear();
-            let snapshot = self.nodes[i].snapshot(self.now);
-            self.pmu[i].due_messages_into(self.now, &snapshot, &mut out);
-            self.stats[i].due_messages_into(self.now, &snapshot, &mut out);
-            for (topic, payload) in out.drain(..) {
-                self.broker.publish(&topic, payload);
-            }
-            self.plugin_scratch[i] = out;
-        }
-        if monitoring {
-            if let Some(collector) = &mut self.collector {
-                collector.pump(&mut self.store);
-            }
-            self.drain_scrub_quarantine();
-        }
+        // 6. Node execution + monitoring plugins, then the tick's one
+        //    serial batch publish. Nothing since phase 4 touched the
+        //    broker, and the batch keeps per-message publish's loss draws
+        //    and delivery order, so deferring the power samples to here
+        //    is exact. The pump stays per tick: a deferred one would
+        //    log `SdcSuspected` after events that later ticks push.
+        self.advance_and_sample(switch_up, &mut batch);
+        self.broker.publish_batch_serial(&mut batch);
+        self.tick_batch = batch;
+        self.pump_collector();
 
         self.ticks_stepped += 1;
         self.now += dt;
     }
 
-    /// Turns every sample the ingestion scrub quarantined since the last
-    /// drain into an [`EngineEvent::SdcSuspected`], in arrival order. The
-    /// event carries the sample's own timestamp, so the one span-end pump
-    /// of the monitored fast-forward yields the same events as per-tick
-    /// pumping.
-    fn drain_scrub_quarantine(&mut self) {
+    /// Phase 6, shared by the full step and the replay: every node
+    /// advances its counters (node.advance reads only the conditions and
+    /// DVFS state fixed in earlier phases, so running it after
+    /// power/thermal is equivalent); then, with telemetry flowing and the
+    /// node not dropped out, its due plugins sample into `batch`. The
+    /// snapshot is pure, so building it (in place) only on plugin-due
+    /// ticks is exact.
+    fn advance_and_sample(&mut self, switch_up: bool, batch: &mut Vec<(Topic, Payload)>) {
+        let (dt, now) = (self.config.dt, self.now);
+        for i in 0..self.nodes.len() {
+            self.nodes[i].advance(dt);
+            if !self.config.monitoring || !switch_up || now < self.sensor_dropout_until[i] {
+                continue; // monitoring off, switch dark, or silent
+            }
+            if now < self.pmu[i].next_due() && now < self.stats[i].next_due() {
+                continue;
+            }
+            let snapshot = &mut self.snap_scratch[i];
+            self.nodes[i].snapshot_into(now, snapshot);
+            self.pmu[i].due_messages_into(now, snapshot, batch);
+            self.stats[i].due_messages_into(now, snapshot, batch);
+        }
+    }
+
+    /// Lands everything the collector queued in the store, then turns
+    /// every sample the ingestion scrub quarantined into an
+    /// [`EngineEvent::SdcSuspected`], in arrival order. The event carries
+    /// the sample's own timestamp, so the replay's one span-end pump
+    /// yields the same events as per-tick pumping. A no-op while
+    /// ingestion is detached (monitoring off, or a disconnect window).
+    fn pump_collector(&mut self) {
         let Some(collector) = self.collector.as_mut() else {
             return;
         };
+        collector.pump(&mut self.store);
         for (topic, payload) in collector.take_quarantined() {
             let node = topic
                 .segments()
@@ -1378,10 +1372,10 @@ impl SimEngine {
         }
     }
 
-    /// Phases 5/5b, shared by the full step, the monitored replay and the
-    /// thermal microstep: records the tick's blade power, integrates the
-    /// thermal model, handles trips, pushes the new temperatures into the
-    /// nodes and runs the thermal governor. Returns whether a node tripped
+    /// Phases 5/5b, shared by the full step and the fast-forward: records
+    /// the tick's blade power, integrates the thermal model, handles
+    /// trips, pushes the new temperatures into the nodes and runs the
+    /// thermal governor. Returns whether a node tripped
     /// or the governor moved an operating point — state beyond the
     /// integrator changed, so a fast-forward must resume full stepping.
     fn thermal_phase(&mut self, node_power: &[Power]) -> bool {
@@ -1579,43 +1573,13 @@ impl SimEngine {
         SimTime::from_micros(now + (target - now).div_ceil(dt) * dt)
     }
 
-    /// Whether executing `step()` at the current tick would mutate
-    /// nothing but the thermal integrator (and its trip latch). `false`
-    /// is conservative: the tick is stepped in full.
-    ///
-    /// Monitoring must be off — the monitored counterpart is
-    /// [`SimEngine::tick_is_observation_only`], whose replay loop handles
-    /// due heartbeats and samples inline instead of treating them as
-    /// actions.
-    fn tick_is_quiescent(&self) -> bool {
-        if self.config.monitoring {
-            return false;
-        }
-        if !self.tick_is_observation_only() {
-            return false;
-        }
-        // With telemetry off nothing replays heartbeats, so one due now
-        // is an action the full step must publish.
-        if let Some(rec) = &self.recovery {
-            let partition = self.active_partition();
-            for i in 0..self.nodes.len() {
-                let cut = partition.is_some_and(|(a, b)| a == i || b == i);
-                if rec.node_alive[i] && !cut && self.now >= rec.next_heartbeat[i] {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Whether the *only* activity `step()` would perform at the current
     /// tick is periodic observation — sensor draws, plugin samples,
-    /// heartbeat publication/ingestion — plus pure thermal relaxation.
-    /// Everything the full quiescence predicate demands holds, except
-    /// that monitoring may be on and due samples/heartbeats do not block
-    /// (the monitored fast-forward replays them exactly). A phi crossing
-    /// *at this tick* still blocks: it fences, which only a full step
-    /// applies. `false` is conservative.
+    /// heartbeat publication/ingestion — plus pure thermal relaxation:
+    /// the fast-forward's one entry predicate, in both monitoring modes.
+    /// Due samples and heartbeats do not block (the fast-forward replays
+    /// them exactly). A phi crossing *at this tick* still blocks: it
+    /// fences, which only a full step applies. `false` is conservative.
     fn tick_is_observation_only(&self) -> bool {
         if !self.running.is_empty() {
             return false;
@@ -1707,19 +1671,13 @@ impl SimEngine {
     }
 
     /// Earliest instant strictly after `now` (and no later than
-    /// `horizon`) at which any subsystem needs a full step: the next
-    /// fault, span expiry, heartbeat, phi threshold crossing, scheduler
-    /// release or estimated completion, checkpoint transition, or plugin
-    /// sample. `None` means nothing is due inside the horizon.
-    pub fn next_due(&self, horizon: SimTime) -> Option<SimTime> {
-        self.next_due_inner(horizon, true)
-    }
-
-    /// [`SimEngine::next_due`] with observation events — plugin samples,
-    /// heartbeats and phi crossings — optionally excluded. The monitored
-    /// fast-forward replays those inline, so its wake-up must come only
-    /// from events that genuinely need the full pipeline.
-    fn next_due_inner(&self, horizon: SimTime, include_observation: bool) -> Option<SimTime> {
+    /// `horizon`) at which any subsystem needs the full pipeline: the next
+    /// fault, span expiry, scheduler release or estimated completion,
+    /// checkpoint transition or wall-time limit. Observation events —
+    /// plugin samples, heartbeats, phi crossings — are not in the fold:
+    /// the fast-forward replays them inline instead of waking for them.
+    /// `None` means nothing is due inside the horizon.
+    fn next_action_due(&self, horizon: SimTime) -> Option<SimTime> {
         let now = self.now;
         let add = |due: &mut Option<SimTime>, t: SimTime| {
             if t > now && t <= horizon && due.is_none_or(|d| t < d) {
@@ -1767,99 +1725,54 @@ impl SimEngine {
                 add(&mut due, run.started + job.spec().time_limit);
             }
         }
-        if include_observation && self.config.monitoring {
-            for runner in &self.pmu {
-                add(&mut due, runner.next_due());
-            }
-            for runner in &self.stats {
-                add(&mut due, runner.next_due());
-            }
-        }
-        if let Some(rec) = self.recovery.as_ref().filter(|_| include_observation) {
-            let partition = self.active_partition();
-            for i in 0..self.nodes.len() {
-                let cut = partition.is_some_and(|(a, b)| a == i || b == i);
-                if rec.node_alive[i] && !cut {
-                    add(&mut due, rec.next_heartbeat[i]);
-                }
-            }
-            // Phi crossings are searched on the clock grid up to the
-            // earliest due found so far (a crossing past it cannot win),
-            // which keeps the binary search's span tight.
-            let dt = self.config.dt;
-            let span_end = due.unwrap_or(horizon);
-            for i in 0..self.nodes.len() {
-                if let Some(t) = rec
-                    .control
-                    .next_suspicion_due(i, self.now + dt, span_end, dt)
-                {
-                    add(&mut due, t);
-                }
-            }
-        }
         due
     }
 
-    /// Fast-forwards from the current tick towards `cap` (a grid tick),
-    /// dispatching on the monitoring mode: with telemetry off, skipped
-    /// ticks advance only the thermal integrator; with telemetry on, the
-    /// sampled-span replay (DESIGN.md §16) performs exactly the
-    /// observation slice of each tick. Returns whether the clock advanced
-    /// at all (`false` ⇒ the caller must run a full step).
-    fn fast_forward_to(&mut self, cap: SimTime) -> bool {
-        if self.config.monitoring {
-            self.monitored_fast_forward(cap)
-        } else {
-            self.unmonitored_fast_forward(cap)
-        }
-    }
-
-    /// The telemetry-off fast-forward: each skipped tick advances only
-    /// the thermal integrator with the exact arithmetic of a full step,
-    /// and once the integrator reaches its f64 fixed point the remaining
-    /// span is jumped in O(1). Stops early at the next due event, a
-    /// thermal trip, a governor or watchdog threshold crossing.
-    fn unmonitored_fast_forward(&mut self, cap: SimTime) -> bool {
-        if cap <= self.now || !self.tick_is_quiescent() {
-            return false;
-        }
-        let dt = self.config.dt;
-        let wake = match self.next_due(cap) {
-            Some(due) => cap.min(self.grid_align_up(due)),
-            None => cap,
+    /// The first grid tick at or after the earliest heartbeat due from an
+    /// alive node the partition does not cut, no later than `cap` (`cap`
+    /// itself without recovery or with no such node).
+    fn next_beat_tick(&self, cap: SimTime) -> SimTime {
+        let Some(rec) = &self.recovery else {
+            return cap;
         };
-        let start = self.now;
-        while self.now < wake {
-            match self.thermal_microstep() {
-                Microstep::Advanced => {}
-                Microstep::Equilibrium => {
-                    // Thermally settled: every remaining tick is bitwise
-                    // the same no-op, so jump the clock.
-                    self.ticks_skipped +=
-                        (wake.as_micros() - self.now.as_micros()) / dt.as_micros().max(1);
-                    self.now = wake;
-                    break;
-                }
-                Microstep::Resume => break,
-            }
-        }
-        self.now > start
+        let partition = self.active_partition();
+        (0..self.nodes.len())
+            .filter(|&i| rec.node_alive[i] && !partition.is_some_and(|(a, b)| a == i || b == i))
+            .map(|i| self.grid_align_up(rec.next_heartbeat[i]))
+            .fold(cap, SimTime::min)
     }
 
-    /// The sampled-span replay (DESIGN.md §16): fast-forwards a
-    /// *monitored* observation-only span towards `cap`. Every replayed
-    /// tick performs exactly the observable slice of a full step, in the
-    /// full step's order — heartbeat publication and same-tick ingestion,
-    /// the per-node sensor-noise draws and power messages (serially in
-    /// node order, so the RNG stream is identical), plugin samples
-    /// through the same allocation-free `due_messages_into`/`sample_into`
-    /// paths, per-tick node counter advancement (load averages smooth
-    /// exponentially — not batchable bitwise) and collector pumping —
-    /// while the phases proven inert for the whole span (scheduler probe,
-    /// job walk, condition refresh, power-cap evaluation) are skipped.
-    /// Thermal advances with the §13 microstep arithmetic until its f64
-    /// fixed point, after which the temperature-dependent slice is frozen
-    /// and skipped under the same equilibrium argument as the §13 jump.
+    /// Recomputes every node's first phi crossing after the current tick,
+    /// searched only up to the next heartbeat tick: that tick refreshes
+    /// every crossing anyway, and the binary search stays short.
+    fn refresh_crossings(&self, crossings: &mut [Option<SimTime>], wake: SimTime) {
+        let Some(rec) = &self.recovery else {
+            return;
+        };
+        let (dt, to) = (self.config.dt, self.next_beat_tick(wake));
+        for (i, slot) in crossings.iter_mut().enumerate() {
+            *slot = rec.control.next_suspicion_due(i, self.now + dt, to, dt);
+        }
+    }
+
+    /// The event clock's fast-forward (DESIGN.md §13, §16): replays an
+    /// observation-only span from the current tick towards `cap` (a grid
+    /// tick). Returns whether the clock advanced at all (`false` ⇒ the
+    /// caller must run a full step).
+    ///
+    /// Every replayed tick performs exactly the observable slice of a
+    /// full step, in the full step's order: heartbeat publication and
+    /// same-tick ingestion, then — monitoring on — the per-node
+    /// sensor-noise draws and power messages (serially in node order, so
+    /// the RNG stream is identical), the thermal phases, and phase 6's
+    /// node advance and plugin samples, published as one serial batch.
+    /// The phases proven inert for the whole span (scheduler probe, job
+    /// walk, condition refresh, power-cap evaluation) are skipped. With
+    /// monitoring off only heartbeats and the thermal phases run.
+    /// Thermal advances tick by tick until the integrator reaches its f64
+    /// fixed point; from there the temperature-dependent slice is frozen,
+    /// and with monitoring off (nothing else left to replay) the clock
+    /// jumps in O(1) to the next heartbeat tick, phi crossing or `wake`.
     ///
     /// Phi-accrual suspicion is scheduled, not polled: between heartbeat
     /// ingestions a detector's state is frozen and phi is monotone in
@@ -1871,27 +1784,19 @@ impl SimEngine {
     /// finishes its tick exactly and then resumes full stepping.
     ///
     /// Replayed ticks count as *skipped* — they bypass the full pipeline
-    /// — which makes the dense monitored scenario's tick ratio the same
-    /// deterministic speedup metric the sparse path reports.
-    fn monitored_fast_forward(&mut self, cap: SimTime) -> bool {
+    /// — so `stepped + skipped` always equals the fixed-dt tick count.
+    fn fast_forward_to(&mut self, cap: SimTime) -> bool {
         if cap <= self.now || !self.tick_is_observation_only() {
             return false;
         }
-        let dt = self.config.dt;
-        let n = self.nodes.len();
-        // Wake at the earliest non-observation event; samples, heartbeats
-        // and phi crossings inside the span are replayed, not woken for.
-        let wake = match self.next_due_inner(cap, false) {
+        let (dt, n, monitoring) = (self.config.dt, self.nodes.len(), self.config.monitoring);
+        let wake = match self.next_action_due(cap) {
             Some(due) => cap.min(self.grid_align_up(due)),
             None => cap,
         };
         let start = self.now;
         let mut crossings: Vec<Option<SimTime>> = vec![None; n];
-        if let Some(rec) = &self.recovery {
-            for (i, slot) in crossings.iter_mut().enumerate() {
-                *slot = rec.control.next_suspicion_due(i, self.now + dt, wake, dt);
-            }
-        }
+        self.refresh_crossings(&mut crossings, wake);
         let mut equilibrium = false;
         let mut node_power: Vec<Power> = Vec::with_capacity(n);
         let mut prev_temps: Vec<Celsius> = Vec::with_capacity(n);
@@ -1900,26 +1805,12 @@ impl SimEngine {
                 break; // a suspicion crossing fences: full step handles it
             }
             // Phase 0b: heartbeats on their exact cadence, ingested the
-            // same tick — `publish_heartbeats` IS the fixed-dt publisher.
-            if self.recovery.is_some() {
-                let due_any = {
-                    let partition = self.active_partition();
-                    let rec = self.recovery.as_ref().expect("recovery mode");
-                    (0..n).any(|i| {
-                        rec.node_alive[i]
-                            && !partition.is_some_and(|(a, b)| a == i || b == i)
-                            && self.now >= rec.next_heartbeat[i]
-                    })
-                };
-                self.publish_heartbeats();
-                if due_any {
-                    let rec = self.recovery.as_mut().expect("recovery mode");
-                    rec.control.pump_arrivals();
-                    // Detector state moved: refresh every crossing.
-                    for (i, slot) in crossings.iter_mut().enumerate() {
-                        *slot = rec.control.next_suspicion_due(i, self.now + dt, wake, dt);
-                    }
-                }
+            // same tick — `publish_heartbeats` IS the full step's
+            // publisher. Detector state moved: refresh every crossing.
+            if self.recovery.is_some() && self.publish_heartbeats() {
+                let rec = self.recovery.as_mut().expect("recovery mode");
+                rec.control.pump_arrivals();
+                self.refresh_crossings(&mut crossings, wake);
             }
             // Phase 4: sensor-noise draws and power messages, exactly as
             // the full step draws them. The noise-free mean feeding the
@@ -1930,14 +1821,14 @@ impl SimEngine {
                 prev_temps.clear();
                 prev_temps.extend((0..n).map(|i| self.thermal.temperature(i)));
             }
-            let mut batch = std::mem::take(&mut self.replay_batch);
+            let mut batch = std::mem::take(&mut self.tick_batch);
             batch.clear();
-            if switch_up {
+            if monitoring && switch_up {
                 self.sample_power_messages(&mut batch);
             }
-            // Phases 5/5b: the §13 thermal microstep arithmetic. A trip,
-            // governor move or watchdog arming finishes this tick exactly
-            // as the full step would, then resumes full stepping.
+            // Phases 5/5b. A trip, governor move or watchdog arming
+            // finishes this tick exactly as the full step would, then
+            // resumes full stepping.
             let mut resume = false;
             if !equilibrium {
                 resume = self.thermal_phase(&node_power) || !self.watchdog_quiescent();
@@ -1945,36 +1836,29 @@ impl SimEngine {
                     equilibrium = (0..n).all(|i| self.thermal.temperature(i) == prev_temps[i]);
                 }
             }
-            // Phase 6: counters advance every tick; plugins sample at
-            // their due ticks. Building the (reusable, in-place) snapshot
-            // only when a plugin is actually due is the replay's one
-            // shortcut; the tick's messages then go out as ONE serial
-            // batch (identical observable semantics to per-message
-            // publish, broker locks amortised over the tick).
-            for i in 0..n {
-                self.nodes[i].advance(dt);
-                if !switch_up || self.now < self.sensor_dropout_until[i] {
-                    continue; // silent or switch dark
-                }
-                if self.now < self.pmu[i].next_due() && self.now < self.stats[i].next_due() {
-                    continue;
-                }
-                let mut out = std::mem::take(&mut self.plugin_scratch[i]);
-                out.clear();
-                let mut snapshot = std::mem::take(&mut self.snap_scratch[i]);
-                self.nodes[i].snapshot_into(self.now, &mut snapshot);
-                self.pmu[i].due_messages_into(self.now, &snapshot, &mut out);
-                self.stats[i].due_messages_into(self.now, &snapshot, &mut out);
-                self.snap_scratch[i] = snapshot;
-                batch.append(&mut out);
-                self.plugin_scratch[i] = out;
+            // Phase 6: the full step's node advance and plugin samples.
+            if monitoring {
+                self.advance_and_sample(switch_up, &mut batch);
+                self.broker.publish_batch_serial(&mut batch);
             }
-            self.broker.publish_batch_serial(&mut batch);
-            self.replay_batch = batch;
+            self.tick_batch = batch;
             self.ticks_skipped += 1;
             self.now += dt;
             if resume {
                 break;
+            }
+            if equilibrium && !monitoring {
+                // Thermally settled and nothing observed: every tick up to
+                // the next heartbeat, crossing or wake is bitwise the same
+                // no-op, so jump the clock.
+                let to = crossings
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .fold(self.next_beat_tick(wake), SimTime::min);
+                self.ticks_skipped +=
+                    (to.as_micros() - self.now.as_micros()) / dt.as_micros().max(1);
+                self.now = to;
             }
         }
         // One collector pump for the whole span. Nothing reads the store
@@ -1984,38 +1868,9 @@ impl SimEngine {
         // unbounded — so deferring ingestion to the span boundary yields
         // a byte-identical store at a fraction of the lock traffic.
         if self.now > start {
-            if let Some(collector) = &mut self.collector {
-                collector.pump(&mut self.store);
-            }
-            self.drain_scrub_quarantine();
+            self.pump_collector();
         }
         self.now > start
-    }
-
-    /// Executes the only physically active slice of a quiescent tick —
-    /// mean power, thermal integration, trip latch, governor — with the
-    /// exact arithmetic and ordering of the full step, then advances the
-    /// clock one `dt`.
-    fn thermal_microstep(&mut self) -> Microstep {
-        let n = self.nodes.len();
-        let prev_temps: Vec<Celsius> = (0..n).map(|i| self.thermal.temperature(i)).collect();
-        let mut node_power = Vec::with_capacity(n);
-        self.mean_node_power_into(&mut node_power);
-        // The governor fires at this tick exactly as phase 5b would.
-        let changed = self.thermal_phase(&node_power);
-        self.ticks_skipped += 1;
-        self.now += self.config.dt;
-        // The *next* tick's control plane reads the temperatures just
-        // set; crossing a watchdog line ends the skippable span.
-        if changed || !self.watchdog_quiescent() {
-            return Microstep::Resume;
-        }
-        let settled = (0..n).all(|i| self.thermal.temperature(i) == prev_temps[i]);
-        if settled {
-            Microstep::Equilibrium
-        } else {
-            Microstep::Advanced
-        }
     }
 
     /// Whether the control plane's thermal watchdog stays quiet at the
@@ -2230,10 +2085,10 @@ impl SimEngine {
         }
         if self.collector_offline_until.is_some_and(|t| self.now >= t) {
             // Reconnect ingestion; everything published meanwhile is gone.
-            self.collector = Some(
-                Collector::attach(&self.broker, "#".parse().expect("valid filter"))
-                    .with_scrub(ScrubPolicy::monte_cimone()),
-            );
+            self.collector = self
+                .config
+                .monitoring
+                .then(|| ingestion_collector(&self.broker));
             self.collector_offline_until = None;
         }
         if self.switch.restore_due(self.now) {
@@ -2697,8 +2552,10 @@ impl SimEngine {
     /// Publishes heartbeats for every physically alive node whose cadence
     /// is due. A partition cuts both endpoints off the management network,
     /// so their heartbeats are suppressed (a source of false suspicion);
-    /// seeded broker loss drops beats inside the broker itself.
-    fn publish_heartbeats(&mut self) {
+    /// seeded broker loss drops beats inside the broker itself. Returns
+    /// whether any beat was due (published or lost to a dark switch).
+    fn publish_heartbeats(&mut self) -> bool {
+        let mut due_any = false;
         let partitioned = self.active_partition();
         let switch_up = self.switch.is_up(self.now);
         let rec = self.recovery.as_mut().expect("recovery mode");
@@ -2729,8 +2586,10 @@ impl SimEngine {
                     + SimDuration::from_secs_f64(
                         rec.config.heartbeat_interval.as_secs_f64() / perf,
                     );
+                due_any = true;
             }
         }
+        due_any
     }
 
     /// One control-plane decision tick: suspicion, fencing, unfencing and
@@ -2929,6 +2788,14 @@ impl SimEngine {
             });
         }
     }
+}
+
+/// The ExaMon ingestion subscriber: every topic, scrubbed at ingest.
+/// Attached only while monitoring is on — with it off nothing pumps the
+/// queue, so an attached collector would only pile up heartbeats.
+fn ingestion_collector(broker: &Broker) -> Collector {
+    Collector::attach(broker, "#".parse().expect("valid filter"))
+        .with_scrub(ScrubPolicy::monte_cimone())
 }
 
 /// The ExaMon-style topic a node's power samples ride on.

@@ -278,7 +278,7 @@ impl ControlPlane {
     }
 
     /// Ingests queued heartbeat arrivals *without* running the decision
-    /// pass; returns how many were ingested. The monitored fast-forward
+    /// pass; returns how many were ingested. The event clock's fast-forward
     /// (DESIGN.md §16) records arrivals at their exact ticks and proves
     /// separately — via [`ControlPlane::is_quiescent`] at span entry and
     /// [`ControlPlane::next_suspicion_due`] over the span — that the

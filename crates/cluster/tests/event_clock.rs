@@ -76,40 +76,46 @@ fn assert_bit_identical(fixed: &SimEngine, event: &SimEngine, label: &str) {
 
 /// A sparse availability-style run: one short job, a crash/recover pair,
 /// then hours of idle. The event clock must skip the idle span without
-/// changing a single observable byte.
+/// changing a single observable byte — with the oracle crash model and
+/// with the heartbeat failure detector, whose beats are replayed inside
+/// the span rather than stepped.
 #[test]
 fn sparse_idle_sweep_is_bit_identical_and_actually_skips() {
-    let run = |clock: ClockMode| {
-        let mut engine = SimEngine::new(EngineConfig {
-            monitoring: false,
-            dt: SimDuration::from_secs(2),
-            clock,
-            ..EngineConfig::default()
-        })
-        .with_fault_plan(
-            FaultPlan::new()
-                .with(SimTime::from_secs(1800), FaultKind::NodeCrash { node: 3 })
-                .with(SimTime::from_secs(2400), FaultKind::NodeRecover { node: 3 }),
+    for recovery in [None, Some(RecoveryConfig::detection_only())] {
+        let run = |clock: ClockMode| {
+            let mut engine = SimEngine::new(EngineConfig {
+                monitoring: false,
+                dt: SimDuration::from_secs(2),
+                recovery,
+                clock,
+                ..EngineConfig::default()
+            })
+            .with_fault_plan(
+                FaultPlan::new()
+                    .with(SimTime::from_secs(1800), FaultKind::NodeCrash { node: 3 })
+                    .with(SimTime::from_secs(2400), FaultKind::NodeRecover { node: 3 }),
+            );
+            engine.submit(synthetic(8, 60)).unwrap();
+            engine.run_for(SimDuration::from_secs(4 * 3600));
+            engine
+        };
+        let fixed = run(ClockMode::FixedDt);
+        let event = run(ClockMode::EventDriven);
+        let label = format!("sparse sweep (recovery: {})", recovery.is_some());
+        assert_bit_identical(&fixed, &event, &label);
+        assert_eq!(fixed.ticks_skipped(), 0);
+        assert!(
+            event.ticks_skipped() > 1000,
+            "{label}: the idle span must fast-forward, skipped only {}",
+            event.ticks_skipped()
         );
-        engine.submit(synthetic(8, 60)).unwrap();
-        engine.run_for(SimDuration::from_secs(4 * 3600));
-        engine
-    };
-    let fixed = run(ClockMode::FixedDt);
-    let event = run(ClockMode::EventDriven);
-    assert_bit_identical(&fixed, &event, "sparse sweep");
-    assert_eq!(fixed.ticks_skipped(), 0);
-    assert!(
-        event.ticks_skipped() > 1000,
-        "the idle span must fast-forward, skipped only {}",
-        event.ticks_skipped()
-    );
-    assert!(
-        event.ticks_stepped() < fixed.ticks_stepped() / 10,
-        "event mode stepped {} of fixed's {}",
-        event.ticks_stepped(),
-        fixed.ticks_stepped()
-    );
+        assert!(
+            event.ticks_stepped() < fixed.ticks_stepped() / 10,
+            "{label}: event mode stepped {} of fixed's {}",
+            event.ticks_stepped(),
+            fixed.ticks_stepped()
+        );
+    }
 }
 
 /// With monitoring on every tick publishes telemetry; the sampled-span

@@ -6,7 +6,6 @@ use std::collections::BTreeMap;
 
 use cimone_soc::units::{Celsius, SimDuration, SimTime};
 
-use crate::broker::Broker;
 use crate::payload::Payload;
 use crate::topic::{ExamonSchema, Topic};
 
@@ -424,8 +423,8 @@ pub struct PluginRunner<P> {
 }
 
 impl<P: Plugin> PluginRunner<P> {
-    /// Wraps `plugin`; the first sample fires at the first `maybe_sample`
-    /// call.
+    /// Wraps `plugin`; the first sample fires at the first
+    /// [`PluginRunner::due_messages_into`] call.
     pub fn new(plugin: P) -> Self {
         PluginRunner {
             plugin,
@@ -455,23 +454,13 @@ impl<P: Plugin> PluginRunner<P> {
         self.next_due
     }
 
-    /// Samples if the period has elapsed, returning the messages without
-    /// publishing them; `None` when not due. Splitting compute from
-    /// publish lets a caller gather every node's messages first and
-    /// push them through [`Broker::publish_batch_serial`] in one batch.
-    pub fn due_messages(
-        &mut self,
-        now: SimTime,
-        snapshot: &NodeSnapshot,
-    ) -> Option<Vec<(Topic, Payload)>> {
-        let mut out = Vec::new();
-        self.due_messages_into(now, snapshot, &mut out)
-            .then_some(out)
-    }
-
-    /// Allocation-free variant of [`PluginRunner::due_messages`]: appends
-    /// this tick's messages to `out` (a scratch buffer the caller reuses
-    /// across ticks) and returns whether the plugin was due.
+    /// Samples if the period has elapsed: appends this tick's messages to
+    /// `out` (a scratch buffer the caller reuses across ticks) without
+    /// publishing them, and returns whether the plugin was due. Splitting
+    /// compute from publish lets a caller gather every node's messages
+    /// first and push them through
+    /// [`Broker::publish_batch_serial`](crate::broker::Broker::publish_batch_serial)
+    /// in one batch.
     pub fn due_messages_into(
         &mut self,
         now: SimTime,
@@ -484,24 +473,6 @@ impl<P: Plugin> PluginRunner<P> {
         self.next_due = now + self.plugin.period();
         self.plugin.sample_into(snapshot, out);
         true
-    }
-
-    /// Samples and publishes if the period has elapsed; returns the number
-    /// of messages published (0 when not due).
-    pub fn maybe_sample(
-        &mut self,
-        now: SimTime,
-        snapshot: &NodeSnapshot,
-        broker: &Broker,
-    ) -> usize {
-        let Some(messages) = self.due_messages(now, snapshot) else {
-            return 0;
-        };
-        let count = messages.len();
-        for (topic, payload) in messages {
-            broker.publish(&topic, payload);
-        }
-        count
     }
 }
 
@@ -596,17 +567,16 @@ mod tests {
 
     #[test]
     fn runner_respects_the_sampling_period() {
-        let broker = Broker::new();
-        let sub = broker.subscribe("#".parse().unwrap());
         let mut runner = PluginRunner::new(PmuPlugin::new(ExamonSchema::monte_cimone()));
         let snap = snapshot();
-        assert!(runner.maybe_sample(SimTime::ZERO, &snap, &broker) > 0);
-        // 100 ms later: not due (2 Hz).
-        assert_eq!(
-            runner.maybe_sample(SimTime::from_millis(100), &snap, &broker),
-            0
-        );
-        assert!(runner.maybe_sample(SimTime::from_millis(500), &snap, &broker) > 0);
-        assert_eq!(sub.drain().len(), 10);
+        let mut out = Vec::new();
+        assert!(runner.due_messages_into(SimTime::ZERO, &snap, &mut out));
+        assert!(!out.is_empty());
+        // 100 ms later: not due (2 Hz), so nothing is appended.
+        let first = out.len();
+        assert!(!runner.due_messages_into(SimTime::from_millis(100), &snap, &mut out));
+        assert_eq!(out.len(), first);
+        assert!(runner.due_messages_into(SimTime::from_millis(500), &snap, &mut out));
+        assert_eq!(out.len(), 10);
     }
 }
