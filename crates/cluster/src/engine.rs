@@ -567,6 +567,13 @@ struct RecoveryState {
     /// plane fences the node off the failure detector.
     node_alive: Vec<bool>,
     next_heartbeat: Vec<SimTime>,
+    /// Per node, whether the last `publish_heartbeats` moved its phi
+    /// curve or its next beat: a beat came due (published, lost, or
+    /// dropped by a dark switch) or its expected cadence scale changed.
+    beat_moved: Vec<bool>,
+    /// Per-node temperatures handed to the control plane's decision
+    /// tick, refilled in place.
+    temps: Vec<Celsius>,
     /// Progress each requeued job restarts from (captured at eviction
     /// from its last committed checkpoint, consumed at the next start).
     resume_progress: HashMap<JobId, f64>,
@@ -641,6 +648,8 @@ impl SimEngine {
             store: CheckpointStore::new(),
             node_alive: vec![true; n],
             next_heartbeat: vec![SimTime::ZERO; n],
+            beat_moved: vec![false; n],
+            temps: Vec::with_capacity(n),
             resume_progress: HashMap::new(),
             wasted_node_secs: 0.0,
             checkpoints_written: 0,
@@ -1647,12 +1656,9 @@ impl SimEngine {
             }
         }
         if let Some(rec) = &self.recovery {
-            let temps: Vec<Celsius> = (0..self.nodes.len())
-                .map(|i| self.thermal.temperature(i))
-                .collect();
             // No fenced nodes, no watchdog state in flight, temps clear
             // of the watchdog thresholds.
-            if !rec.control.is_quiescent(&temps) {
+            if !rec.control.is_quiescent(|i| self.thermal.temperature(i)) {
                 return false;
             }
             let dt = self.config.dt;
@@ -1728,29 +1734,56 @@ impl SimEngine {
         due
     }
 
-    /// The first grid tick at or after the earliest heartbeat due from an
-    /// alive node the partition does not cut, no later than `cap` (`cap`
-    /// itself without recovery or with no such node).
+    /// Node `i`'s beat bound: the first grid tick at or after its next
+    /// heartbeat if it is alive and the partition does not cut it, no
+    /// later than `cap` (`cap` itself for a node that cannot beat).
+    fn beat_bound(
+        &self,
+        rec: &RecoveryState,
+        partition: Option<(usize, usize)>,
+        i: usize,
+        cap: SimTime,
+    ) -> SimTime {
+        if rec.node_alive[i] && !partition.is_some_and(|(a, b)| a == i || b == i) {
+            cap.min(self.grid_align_up(rec.next_heartbeat[i]))
+        } else {
+            cap
+        }
+    }
+
+    /// The earliest beat bound over all nodes (`cap` without recovery).
     fn next_beat_tick(&self, cap: SimTime) -> SimTime {
         let Some(rec) = &self.recovery else {
             return cap;
         };
         let partition = self.active_partition();
         (0..self.nodes.len())
-            .filter(|&i| rec.node_alive[i] && !partition.is_some_and(|(a, b)| a == i || b == i))
-            .map(|i| self.grid_align_up(rec.next_heartbeat[i]))
+            .map(|i| self.beat_bound(rec, partition, i, cap))
             .fold(cap, SimTime::min)
     }
 
-    /// Recomputes every node's first phi crossing after the current tick,
-    /// searched only up to the next heartbeat tick: that tick refreshes
-    /// every crossing anyway, and the binary search stays short.
-    fn refresh_crossings(&self, crossings: &mut [Option<SimTime>], wake: SimTime) {
+    /// Recomputes nodes' first phi crossings after the current tick: all
+    /// of them, or with `moved_only` just those the last
+    /// `publish_heartbeats` flagged in `beat_moved`. Each node's search
+    /// runs only to its own beat bound: a detector changes only when its
+    /// own beat is ingested (or its scale moves, which is flagged too),
+    /// and that tick refreshes it, so the bound is exact and the binary
+    /// search stays short.
+    fn refresh_crossings(
+        &self,
+        crossings: &mut [Option<SimTime>],
+        wake: SimTime,
+        moved_only: bool,
+    ) {
         let Some(rec) = &self.recovery else {
             return;
         };
-        let (dt, to) = (self.config.dt, self.next_beat_tick(wake));
+        let (dt, partition) = (self.config.dt, self.active_partition());
         for (i, slot) in crossings.iter_mut().enumerate() {
+            if moved_only && !rec.beat_moved[i] {
+                continue;
+            }
+            let to = self.beat_bound(rec, partition, i, wake);
             *slot = rec.control.next_suspicion_due(i, self.now + dt, to, dt);
         }
     }
@@ -1796,7 +1829,7 @@ impl SimEngine {
         };
         let start = self.now;
         let mut crossings: Vec<Option<SimTime>> = vec![None; n];
-        self.refresh_crossings(&mut crossings, wake);
+        self.refresh_crossings(&mut crossings, wake, false);
         let mut equilibrium = false;
         let mut node_power: Vec<Power> = Vec::with_capacity(n);
         let mut prev_temps: Vec<Celsius> = Vec::with_capacity(n);
@@ -1806,11 +1839,11 @@ impl SimEngine {
             }
             // Phase 0b: heartbeats on their exact cadence, ingested the
             // same tick — `publish_heartbeats` IS the full step's
-            // publisher. Detector state moved: refresh every crossing.
+            // publisher. Refresh the crossings of the nodes it moved.
             if self.recovery.is_some() && self.publish_heartbeats() {
                 let rec = self.recovery.as_mut().expect("recovery mode");
                 rec.control.pump_arrivals();
-                self.refresh_crossings(&mut crossings, wake);
+                self.refresh_crossings(&mut crossings, wake, true);
             }
             // Phase 4: sensor-noise draws and power messages, exactly as
             // the full step draws them. The noise-free mean feeding the
@@ -1878,12 +1911,9 @@ impl SimEngine {
     /// control plane reads these temperatures, so a fast-forward that
     /// crosses a watchdog line must resume full stepping.
     fn watchdog_quiescent(&self) -> bool {
-        self.recovery.as_ref().is_none_or(|rec| {
-            let temps: Vec<Celsius> = (0..self.nodes.len())
-                .map(|i| self.thermal.temperature(i))
-                .collect();
-            rec.control.is_quiescent(&temps)
-        })
+        self.recovery
+            .as_ref()
+            .is_none_or(|rec| rec.control.is_quiescent(|i| self.thermal.temperature(i)))
     }
 
     /// The partition cutting the management network right now, if any.
@@ -2552,10 +2582,12 @@ impl SimEngine {
     /// Publishes heartbeats for every physically alive node whose cadence
     /// is due. A partition cuts both endpoints off the management network,
     /// so their heartbeats are suppressed (a source of false suspicion);
-    /// seeded broker loss drops beats inside the broker itself. Returns
-    /// whether any beat was due (published or lost to a dark switch).
+    /// seeded broker loss drops beats inside the broker itself. Flags in
+    /// `beat_moved` the nodes whose beat came due (published or lost to a
+    /// dark switch) or whose expected scale changed; returns whether any
+    /// node was flagged.
     fn publish_heartbeats(&mut self) -> bool {
-        let mut due_any = false;
+        let mut moved_any = false;
         let partitioned = self.active_partition();
         let switch_up = self.switch.is_up(self.now);
         let rec = self.recovery.as_mut().expect("recovery mode");
@@ -2566,7 +2598,8 @@ impl SimEngine {
             // slowness is not mistaken for death (gated by
             // [`RecoveryConfig::cap_aware_suspicion`]).
             let perf = self.nodes[i].cpufreq().performance_scale();
-            rec.control.set_expected_interval_scale(i, 1.0 / perf);
+            rec.beat_moved[i] = rec.control.set_expected_interval_scale(i, 1.0 / perf);
+            moved_any |= rec.beat_moved[i];
             if !rec.node_alive[i] {
                 continue;
             }
@@ -2586,21 +2619,22 @@ impl SimEngine {
                     + SimDuration::from_secs_f64(
                         rec.config.heartbeat_interval.as_secs_f64() / perf,
                     );
-                due_any = true;
+                rec.beat_moved[i] = true;
+                moved_any = true;
             }
         }
-        due_any
+        moved_any
     }
 
     /// One control-plane decision tick: suspicion, fencing, unfencing and
     /// the thermal watchdog.
     fn control_plane_tick(&mut self) {
-        let temps: Vec<Celsius> = (0..self.nodes.len())
-            .map(|i| self.thermal.temperature(i))
-            .collect();
         let actions = {
             let rec = self.recovery.as_mut().expect("recovery mode");
-            rec.control.tick(self.now, &temps)
+            rec.temps.clear();
+            rec.temps
+                .extend((0..self.nodes.len()).map(|i| self.thermal.temperature(i)));
+            rec.control.tick(self.now, &rec.temps)
         };
         for action in actions {
             match action {

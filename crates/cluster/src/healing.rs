@@ -236,8 +236,7 @@ pub enum ControlAction {
 pub struct ControlPlane {
     monitor: HeartbeatMonitor,
     config: RecoveryConfig,
-    hostnames: Vec<String>,
-    /// Which nodes this control plane has fenced.
+    /// Which nodes this control plane has fenced (one entry per node).
     fenced: Vec<bool>,
     /// When each node crossed the watchdog's fence line, if it is over it.
     hot_since: Vec<Option<SimTime>>,
@@ -251,20 +250,23 @@ pub struct ControlPlane {
 
 impl ControlPlane {
     /// Attaches the control plane to `broker`, watching heartbeats of the
-    /// given nodes (in index order).
+    /// given nodes (in index order). Each hostname is reserved in that
+    /// order, so a node's detector slot is its index.
     pub fn new(broker: &Broker, config: RecoveryConfig, hostnames: Vec<String>) -> Self {
-        let monitor = HeartbeatMonitor::attach(
+        let mut monitor = HeartbeatMonitor::attach(
             broker,
             "org/unibo/cluster/cimone/node/+/plugin/health_pub/chnl/data/heartbeat"
                 .parse()
                 .expect("valid filter"),
             config.phi_threshold,
         );
+        for (i, host) in hostnames.iter().enumerate() {
+            assert_eq!(monitor.reserve(host), i, "hostnames must be distinct");
+        }
         let n = hostnames.len();
         ControlPlane {
             monitor,
             config,
-            hostnames,
             fenced: vec![false; n],
             hot_since: vec![None; n],
             throttle_depth: vec![0; n],
@@ -301,12 +303,10 @@ impl ControlPlane {
     /// Tells the failure detector that `node` is expected to heartbeat
     /// `scale`× slower than nominal (a DVFS-capped node's health daemon
     /// runs at the capped clock). A no-op unless
-    /// [`RecoveryConfig::cap_aware_suspicion`] is set.
-    pub fn set_expected_interval_scale(&mut self, node: usize, scale: f64) {
-        if self.config.cap_aware_suspicion {
-            self.monitor
-                .set_expected_scale(&self.hostnames[node], scale);
-        }
+    /// [`RecoveryConfig::cap_aware_suspicion`] is set. Returns whether the
+    /// detector's scale changed, which moves its phi curve.
+    pub fn set_expected_interval_scale(&mut self, node: usize, scale: f64) -> bool {
+        self.config.cap_aware_suspicion && self.monitor.set_expected_scale_at(node, scale)
     }
 
     /// Whether any node is currently fenced. A fenced node's unfence
@@ -333,8 +333,8 @@ impl ControlPlane {
     /// evidence that separates "one node died" (peers still beating) from
     /// "the shared switch died" (nobody beating).
     fn recently_heard_any(&self, now: SimTime) -> bool {
-        self.hostnames.iter().any(|host| {
-            self.monitor.detector(host).is_some_and(|d| {
+        (0..self.fenced.len()).any(|node| {
+            self.monitor.detector_at(node).is_some_and(|d| {
                 d.last_heard().is_some_and(|t| {
                     now.saturating_since(t).as_secs_f64()
                         < self.config.heartbeat_interval.as_secs_f64() * 2.0 * d.expected_scale()
@@ -351,7 +351,9 @@ impl ControlPlane {
     /// Under these conditions the only state `tick` could mutate is
     /// driven by arrivals or crossings, both of which a due-time clock
     /// schedules explicitly — so skipping the call is exact.
-    pub fn is_quiescent(&self, temperatures: &[Celsius]) -> bool {
+    /// `temperature(i)` is node `i`'s temperature; it is read only when a
+    /// watchdog is configured.
+    pub fn is_quiescent(&self, temperature: impl Fn(usize) -> Celsius) -> bool {
         if self.any_fenced() {
             return false;
         }
@@ -365,9 +367,10 @@ impl ControlPlane {
             Some(w) => {
                 self.hot_since.iter().all(Option::is_none)
                     && self.throttle_depth.iter().all(|&d| d == 0)
-                    && temperatures
-                        .iter()
-                        .all(|&t| t < w.throttle_above && t < w.fence_above)
+                    && (0..self.fenced.len()).all(|i| {
+                        let t = temperature(i);
+                        t < w.throttle_above && t < w.fence_above
+                    })
             }
         }
     }
@@ -386,8 +389,7 @@ impl ControlPlane {
         if !self.config.fence_on_suspicion || self.fenced[node] {
             return None;
         }
-        self.monitor
-            .next_suspicion_due(&self.hostnames[node], from, to, step)
+        self.monitor.next_suspicion_due_at(node, from, to, step)
     }
 
     /// One decision tick: ingest heartbeats, evaluate suspicion for every
@@ -418,21 +420,22 @@ impl ControlPlane {
                     }
                 }
                 None => {
-                    let silent = (0..self.hostnames.len())
+                    let silent = (0..self.fenced.len())
                         .filter(|&n| {
                             !self.fenced[n]
-                                && self.monitor.phi(&self.hostnames[n], now)
-                                    >= self.config.phi_threshold
+                                && self.monitor.phi_at(n, now) >= self.config.phi_threshold
                         })
                         .count();
                     // Correlated silence is only inferable against peers:
                     // with fewer than two nodes ever heard from there is
                     // no differential evidence, and a lone silent node is
                     // just a dead node.
-                    let heard = self
-                        .hostnames
-                        .iter()
-                        .filter(|h| self.monitor.last_heard(h).is_some())
+                    let heard = (0..self.fenced.len())
+                        .filter(|&n| {
+                            self.monitor
+                                .detector_at(n)
+                                .is_some_and(|d| d.last_heard().is_some())
+                        })
                         .count();
                     if silent > 0 && !fresh && heard >= 2 {
                         // A node crossed the line while *nobody* in the
@@ -440,19 +443,17 @@ impl ControlPlane {
                         // not the node. Defer everyone's suspicion.
                         self.partitioned_since = Some(now);
                         actions.push(ControlAction::PartitionSuspected { silent });
-                        for node in 0..self.hostnames.len() {
+                        for node in 0..self.fenced.len() {
                             if !self.fenced[node] {
-                                let host = self.hostnames[node].clone();
-                                self.monitor.rebaseline(&host, now);
+                                self.monitor.rebaseline_at(node, now);
                             }
                         }
                     }
                 }
             }
         }
-        for node in 0..self.hostnames.len() {
-            let host = &self.hostnames[node];
-            let phi = self.monitor.phi(host, now);
+        for node in 0..self.fenced.len() {
+            let phi = self.monitor.phi_at(node, now);
             if !self.fenced[node] {
                 if self.config.fence_on_suspicion
                     && self.partitioned_since.is_none()
@@ -471,7 +472,7 @@ impl ControlPlane {
                 // additionally have cooled below the release line.
                 let resumed = self
                     .monitor
-                    .detector(host)
+                    .detector_at(node)
                     .and_then(|d| d.last_heard())
                     .is_some_and(|t| now.saturating_since(t) < self.config.heartbeat_interval * 2);
                 let cooled = self
@@ -1133,7 +1134,10 @@ mod tests {
         ));
         assert!(cp.is_partitioned());
         assert!(!cp.is_fenced(0) && !cp.is_fenced(1), "nobody fenced");
-        assert!(!cp.is_quiescent(&cool()), "partitioned plane stays busy");
+        assert!(
+            !cp.is_quiescent(|i| cool()[i]),
+            "partitioned plane stays busy"
+        );
         // The switch comes back: both streams resume, the partition heals,
         // and — the acceptance bar — not one false suspicion ever fires.
         for host in hosts() {
@@ -1284,7 +1288,7 @@ mod tests {
             broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(s)));
         }
         assert!(cp.tick(SimTime::from_secs(60), &cool()).is_empty());
-        assert!(cp.is_quiescent(&cool()));
+        assert!(cp.is_quiescent(|i| cool()[i]));
         // Predict the fence tick, then replay tick-by-tick and compare.
         let step = SimDuration::from_secs(1);
         let from = SimTime::from_secs(61);
@@ -1306,7 +1310,7 @@ mod tests {
         assert_eq!(due, fenced_at);
         // A fence is a standing obligation: no longer quiescent, and the
         // fenced node no longer has a suspicion due-time.
-        assert!(!cp.is_quiescent(&cool()));
+        assert!(!cp.is_quiescent(|i| cool()[i]));
         assert_eq!(
             cp.next_suspicion_due(0, t, SimTime::from_secs(800), step),
             None
@@ -1321,15 +1325,15 @@ mod tests {
             ..RecoveryConfig::detection_only()
         };
         let mut cp = ControlPlane::new(&broker, config, hosts());
-        assert!(cp.is_quiescent(&cool()));
+        assert!(cp.is_quiescent(|i| cool()[i]));
         // Hot air alone breaks quiescence before any action is taken.
         let hot = vec![Celsius::new(96.0), Celsius::new(50.0)];
-        assert!(!cp.is_quiescent(&hot));
+        assert!(!cp.is_quiescent(|i| hot[i]));
         // An outstanding throttle keeps the plane busy even once cool.
         cp.tick(SimTime::from_secs(10), &hot);
-        assert!(!cp.is_quiescent(&cool()));
+        assert!(!cp.is_quiescent(|i| cool()[i]));
         cp.tick(SimTime::from_secs(20), &cool()); // RelaxCool drains it
-        assert!(cp.is_quiescent(&cool()));
+        assert!(cp.is_quiescent(|i| cool()[i]));
     }
 
     #[test]

@@ -451,3 +451,82 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Staggered heartbeat cadences under the recovery stack: a governed
+    /// brownout stretches its blade's beats (cap-aware suspicion), a
+    /// crash/repair pair and a partition restart beats off the common
+    /// phase, and broker loss drops some of them. Each node's crossing
+    /// search then ends at a different beat tick, and the event clock
+    /// must still match fixed-dt byte for byte.
+    #[test]
+    fn staggered_cadences_agree_across_clocks(
+        seed in prop::sample::select(vec![1u64, 7, 2022]),
+        dt_secs in prop::sample::select(vec![1u64, 2]),
+        monitoring in any::<bool>(),
+        brownout in (0usize..4, 60u32..=85, 30u64..300, 120u64..480),
+        crash in (0usize..8, 200u64..1500, 40u64..400),
+        loss in (5u32..=50, 100u64..1800, 60u64..300),
+        partition in (0usize..8, 1usize..8, 300u64..2000, 20u64..200),
+    ) {
+        let (blade, budget_pct, brownout_at, brownout_span) = brownout;
+        let (node, crash_at, repair) = crash;
+        let (loss_pct, loss_at, loss_span) = loss;
+        let (a, offset, partition_at, partition_span) = partition;
+        let plan = FaultPlan::new()
+            .with(
+                SimTime::from_secs(brownout_at),
+                FaultKind::RailBrownout {
+                    blade,
+                    budget_frac: f64::from(budget_pct) / 100.0,
+                    span: SimDuration::from_secs(brownout_span),
+                },
+            )
+            .with(SimTime::from_secs(crash_at), FaultKind::NodeCrash { node })
+            .with(
+                SimTime::from_secs(crash_at + repair),
+                FaultKind::NodeRecover { node },
+            )
+            .with(
+                SimTime::from_secs(loss_at),
+                FaultKind::BrokerMessageLoss {
+                    rate: f64::from(loss_pct) / 100.0,
+                    span: SimDuration::from_secs(loss_span),
+                },
+            )
+            .with(
+                SimTime::from_secs(partition_at),
+                FaultKind::Partition {
+                    a,
+                    b: (a + offset) % 8,
+                    span: SimDuration::from_secs(partition_span),
+                },
+            );
+        let run = |clock: ClockMode| {
+            let mut engine = SimEngine::new(EngineConfig {
+                monitoring,
+                dt: SimDuration::from_secs(dt_secs),
+                seed,
+                recovery: Some(RecoveryConfig::with_checkpoints(SimDuration::from_secs(60))),
+                clock,
+                ..EngineConfig::default()
+            })
+            .with_fault_plan(plan.clone());
+            engine.submit(synthetic(8, 240)).unwrap();
+            engine.submit(synthetic(4, 120)).unwrap();
+            engine.submit(synthetic(2, 90)).unwrap();
+            engine.run_for(SimDuration::from_secs(2400));
+            engine
+        };
+        let fixed = run(ClockMode::FixedDt);
+        let event = run(ClockMode::EventDriven);
+        prop_assert_eq!(fixed.now(), event.now());
+        prop_assert_eq!(fixed.events(), event.events());
+        prop_assert!(fixed.store() == event.store());
+        prop_assert_eq!(fixed.accounting(), event.accounting());
+        prop_assert!(fixed.thermal() == event.thermal());
+        prop_assert_eq!(fixed.total_downtime(), event.total_downtime());
+    }
+}

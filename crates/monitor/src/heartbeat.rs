@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, VecDeque};
 use cimone_soc::units::{SimDuration, SimTime};
 
 use crate::broker::{Broker, Subscription};
-use crate::topic::TopicFilter;
+use crate::topic::{Topic, TopicFilter};
 
 /// Default suspicion threshold (Akka's default is 8.0: a false positive
 /// about once per 10⁸ evaluations under the fitted distribution).
@@ -86,6 +86,11 @@ fn erfc(x: f64) -> f64 {
 pub struct PhiAccrualDetector {
     window: usize,
     intervals: VecDeque<f64>,
+    /// The window's mean, refit by `record` whenever the window changes.
+    mean: f64,
+    /// The window's standard deviation with `phi`'s floors applied,
+    /// refit alongside `mean`.
+    sigma: f64,
     last_arrival: Option<SimTime>,
     /// How much slower than nominal this node is *expected* to beat (1.0 =
     /// nominal). A DVFS-capped node's health daemon runs at the capped
@@ -113,6 +118,8 @@ impl PhiAccrualDetector {
         PhiAccrualDetector {
             window,
             intervals: VecDeque::new(),
+            mean: 0.0,
+            sigma: 0.0,
             last_arrival: None,
             expected_scale: 1.0,
             last_heard: None,
@@ -159,10 +166,27 @@ impl PhiAccrualDetector {
                 }
                 self.intervals
                     .push_back(at.saturating_since(last).as_secs_f64() / self.expected_scale);
+                self.refit();
             }
         }
         self.last_arrival = Some(at);
         self.last_heard = Some(at);
+    }
+
+    /// Refits the cached distribution to the window: the two-pass mean
+    /// and variance walk, so `phi` sees the same bits it would compute
+    /// from the window itself.
+    fn refit(&mut self) {
+        let len = self.intervals.len() as f64;
+        let mean = self.intervals.iter().sum::<f64>() / len;
+        let var = self
+            .intervals
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f64>()
+            / len;
+        self.mean = mean;
+        self.sigma = var.sqrt().max(0.25 * mean).max(1e-6);
     }
 
     /// Moves the silence reference to `at` without recording an arrival:
@@ -201,10 +225,7 @@ impl PhiAccrualDetector {
 
     /// Mean of the windowed inter-arrival intervals, seconds.
     pub fn mean_interval(&self) -> Option<f64> {
-        if self.intervals.is_empty() {
-            return None;
-        }
-        Some(self.intervals.iter().sum::<f64>() / self.intervals.len() as f64)
+        (!self.intervals.is_empty()).then_some(self.mean)
     }
 
     /// The suspicion level at `now`: `-log10 P(heartbeat arrives later)`.
@@ -214,7 +235,8 @@ impl PhiAccrualDetector {
     /// interval so a metronomic stream (σ → 0) does not make a single
     /// lost heartbeat look like a crash: with the floor, one missed beat
     /// reaches phi ≈ 4.5 and two missed beats ≈ 15, bracketing the
-    /// default threshold of 8.
+    /// default threshold of 8. The fit is cached per arrival, so a query
+    /// costs O(1) whatever the window size.
     pub fn phi(&self, now: SimTime) -> f64 {
         let Some(last) = self.last_arrival else {
             return 0.0;
@@ -222,16 +244,8 @@ impl PhiAccrualDetector {
         if self.intervals.len() < MIN_SAMPLES {
             return 0.0;
         }
-        let mean = self.mean_interval().expect("window is non-empty");
-        let var = self
-            .intervals
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / self.intervals.len() as f64;
-        let sigma = var.sqrt().max(0.25 * mean).max(1e-6);
         let elapsed = now.saturating_since(last).as_secs_f64() / self.expected_scale;
-        let z = (elapsed - mean) / sigma;
+        let z = (elapsed - self.mean) / self.sigma;
         // P(X > elapsed) for X ~ N(mean, sigma²).
         let p_later = 0.5 * erfc(z / std::f64::consts::SQRT_2);
         if p_later <= 0.0 {
@@ -297,6 +311,13 @@ impl Default for PhiAccrualDetector {
 /// knowledge of node health, so lost heartbeats (broker loss, partitions,
 /// crashes) are indistinguishable until phi accrues.
 ///
+/// Detectors live in numbered slots. [`HeartbeatMonitor::reserve`] hands
+/// out a node's slot up front, so a caller that reserves its hosts in
+/// node order addresses detectors by node index (`*_at` accessors) and
+/// never touches a hostname on the hot path; the pump resolves each
+/// topic to its slot once and caches the answer by
+/// [`TopicId`](crate::interner::TopicId).
+///
 /// # Examples
 ///
 /// ```
@@ -319,7 +340,13 @@ impl Default for PhiAccrualDetector {
 #[derive(Debug)]
 pub struct HeartbeatMonitor {
     subscription: Subscription,
-    detectors: BTreeMap<String, PhiAccrualDetector>,
+    /// One detector per reserved node; `None` until the node is heard
+    /// from or given a cadence scale.
+    slots: Vec<Option<PhiAccrualDetector>>,
+    /// Node name → slot, for every reserved name.
+    by_name: BTreeMap<String, usize>,
+    /// Topic → slot, filled on each topic's first delivery.
+    topic_slots: Vec<Option<usize>>,
     threshold: f64,
     window: usize,
 }
@@ -335,7 +362,9 @@ impl HeartbeatMonitor {
         assert!(threshold > 0.0, "phi threshold must be positive");
         HeartbeatMonitor {
             subscription: broker.subscribe(filter),
-            detectors: BTreeMap::new(),
+            slots: Vec::new(),
+            by_name: BTreeMap::new(),
+            topic_slots: Vec::new(),
             threshold,
             window: DEFAULT_WINDOW,
         }
@@ -346,38 +375,72 @@ impl HeartbeatMonitor {
         self.threshold
     }
 
+    /// The slot of `node`, reserving the next free one on first sight.
+    /// Reserving creates no detector: the slot stays empty (and `node`
+    /// unlisted by [`HeartbeatMonitor::nodes`]) until the node is heard
+    /// from or given a cadence scale.
+    pub fn reserve(&mut self, node: &str) -> usize {
+        if let Some(&slot) = self.by_name.get(node) {
+            return slot;
+        }
+        let slot = self.slots.len();
+        self.slots.push(None);
+        self.by_name.insert(node.to_string(), slot);
+        slot
+    }
+
+    /// The detector in `slot`, created empty if it has none yet.
+    fn detector_mut(&mut self, slot: usize) -> &mut PhiAccrualDetector {
+        let window = self.window;
+        self.slots[slot].get_or_insert_with(|| PhiAccrualDetector::new(window))
+    }
+
+    /// The slot heartbeats on `topic` land in, resolved from its node
+    /// segment on the topic's first delivery and cached by id after.
+    fn topic_slot(&mut self, topic: Topic) -> usize {
+        let id = topic.id().index();
+        if self.topic_slots.len() <= id {
+            self.topic_slots.resize(id + 1, None);
+        }
+        if let Some(slot) = self.topic_slots[id] {
+            return slot;
+        }
+        let slot = match node_segment(topic.segments()) {
+            Some(node) => self.reserve(node),
+            None => self.reserve(topic.as_str()),
+        };
+        self.topic_slots[id] = Some(slot);
+        slot
+    }
+
     /// Drains queued heartbeat messages into the per-node detectors;
     /// returns how many were ingested.
     pub fn pump(&mut self) -> usize {
         let mut n = 0;
         while let Some(msg) = self.subscription.try_recv() {
-            match node_segment(msg.topic.segments()) {
-                Some(node) => self.observe(node, msg.payload.timestamp),
-                None => {
-                    let node = msg.topic.to_string();
-                    self.observe(&node, msg.payload.timestamp);
-                }
-            }
+            let slot = self.topic_slot(msg.topic);
+            self.detector_mut(slot).record(msg.payload.timestamp);
             n += 1;
         }
         n
     }
 
-    /// Records a heartbeat for `node` directly (the pump calls this; tests
-    /// may too).
+    /// Records a heartbeat for `node` directly (the pump does the same by
+    /// slot; tests may call this).
     pub fn observe(&mut self, node: &str, at: SimTime) {
-        if let Some(det) = self.detectors.get_mut(node) {
-            det.record(at);
-        } else {
-            let mut det = PhiAccrualDetector::new(self.window);
-            det.record(at);
-            self.detectors.insert(node.to_string(), det);
-        }
+        let slot = self.reserve(node);
+        self.detector_mut(slot).record(at);
     }
 
     /// The suspicion level for `node` at `now` (`0.0` for unknown nodes).
     pub fn phi(&self, node: &str, now: SimTime) -> f64 {
-        self.detectors.get(node).map_or(0.0, |d| d.phi(now))
+        self.detector(node).map_or(0.0, |d| d.phi(now))
+    }
+
+    /// The suspicion level of the node in `slot` at `now` (`0.0` for an
+    /// empty slot).
+    pub fn phi_at(&self, slot: usize, now: SimTime) -> f64 {
+        self.detector_at(slot).map_or(0.0, |d| d.phi(now))
     }
 
     /// Whether `node`'s phi exceeds the threshold at `now`.
@@ -387,21 +450,33 @@ impl HeartbeatMonitor {
 
     /// All nodes whose phi exceeds the threshold at `now`, sorted.
     pub fn suspects(&self, now: SimTime) -> Vec<String> {
-        self.detectors
+        self.by_name
             .iter()
-            .filter(|(_, d)| d.phi(now) >= self.threshold)
+            .filter(|&(_, &slot)| self.phi_at(slot, now) >= self.threshold)
             .map(|(n, _)| n.clone())
             .collect()
     }
 
-    /// All nodes ever heard from, sorted.
+    /// All nodes with a detector — heard from, or given a cadence scale
+    /// by [`HeartbeatMonitor::set_expected_scale`] — sorted.
     pub fn nodes(&self) -> Vec<String> {
-        self.detectors.keys().cloned().collect()
+        self.by_name
+            .iter()
+            .filter(|&(_, &slot)| self.slots[slot].is_some())
+            .map(|(n, _)| n.clone())
+            .collect()
     }
 
-    /// The detector for `node`, if it has been heard from.
+    /// The detector for `node`, if it has one.
     pub fn detector(&self, node: &str) -> Option<&PhiAccrualDetector> {
-        self.detectors.get(node)
+        self.by_name
+            .get(node)
+            .and_then(|&slot| self.detector_at(slot))
+    }
+
+    /// The detector in `slot`, if it has one.
+    pub fn detector_at(&self, slot: usize) -> Option<&PhiAccrualDetector> {
+        self.slots.get(slot).and_then(Option::as_ref)
     }
 
     /// Declares `node`'s expected heartbeat cadence scale (see
@@ -409,18 +484,38 @@ impl HeartbeatMonitor {
     /// if the node has not been heard from yet, so the scale applies from
     /// its first arrival.
     pub fn set_expected_scale(&mut self, node: &str, scale: f64) {
-        let window = self.window;
-        self.detectors
-            .entry(node.to_string())
-            .or_insert_with(|| PhiAccrualDetector::new(window))
-            .set_expected_scale(scale);
+        let slot = self.reserve(node);
+        self.set_expected_scale_at(slot, scale);
+    }
+
+    /// [`HeartbeatMonitor::set_expected_scale`] by slot, without
+    /// allocating. Returns whether the scale changed (a new detector
+    /// starts at 1.0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was never handed out by
+    /// [`HeartbeatMonitor::reserve`].
+    pub fn set_expected_scale_at(&mut self, slot: usize, scale: f64) -> bool {
+        let det = self.detector_mut(slot);
+        let changed = det.expected_scale() != scale;
+        det.set_expected_scale(scale);
+        changed
     }
 
     /// Moves `node`'s silence reference to `at` without recording an
     /// arrival (see [`PhiAccrualDetector::rebaseline`]). A no-op for nodes
     /// never heard from — they carry no suspicion to defer.
     pub fn rebaseline(&mut self, node: &str, at: SimTime) {
-        if let Some(det) = self.detectors.get_mut(node) {
+        if let Some(&slot) = self.by_name.get(node) {
+            self.rebaseline_at(slot, at);
+        }
+    }
+
+    /// [`HeartbeatMonitor::rebaseline`] by slot (a no-op for an empty
+    /// slot).
+    pub fn rebaseline_at(&mut self, slot: usize, at: SimTime) {
+        if let Some(det) = self.slots.get_mut(slot).and_then(Option::as_mut) {
             det.rebaseline(at);
         }
     }
@@ -428,7 +523,7 @@ impl HeartbeatMonitor {
     /// When `node` last *actually* heartbeat, if ever (see
     /// [`PhiAccrualDetector::last_heard`]).
     pub fn last_heard(&self, node: &str) -> Option<SimTime> {
-        self.detectors.get(node).and_then(|d| d.last_heard())
+        self.detector(node).and_then(|d| d.last_heard())
     }
 
     /// The first grid tick in `[from, to]` (stepping by `step`) at which
@@ -442,8 +537,19 @@ impl HeartbeatMonitor {
         to: SimTime,
         step: SimDuration,
     ) -> Option<SimTime> {
-        self.detectors
-            .get(node)
+        self.detector(node)
+            .and_then(|d| d.first_crossing(self.threshold, from, to, step))
+    }
+
+    /// [`HeartbeatMonitor::next_suspicion_due`] by slot.
+    pub fn next_suspicion_due_at(
+        &self,
+        slot: usize,
+        from: SimTime,
+        to: SimTime,
+        step: SimDuration,
+    ) -> Option<SimTime> {
+        self.detector_at(slot)
             .and_then(|d| d.first_crossing(self.threshold, from, to, step))
     }
 }
@@ -681,6 +787,48 @@ mod tests {
         broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(85)));
         hb.pump();
         assert!(!hb.is_suspect("mc-node-01", SimTime::from_secs(86)));
+    }
+
+    #[test]
+    fn reserved_slots_stay_empty_until_heard_or_scaled() {
+        let broker = Broker::new();
+        let mut hb = HeartbeatMonitor::attach(&broker, "#".parse().unwrap(), DEFAULT_PHI_THRESHOLD);
+        assert_eq!(hb.reserve("mc-node-01"), 0);
+        assert_eq!(hb.reserve("mc-node-02"), 1);
+        assert_eq!(
+            hb.reserve("mc-node-01"),
+            0,
+            "reserving twice keeps the slot"
+        );
+        // Reserved but silent: no detector, unlisted, rebaseline a no-op.
+        hb.rebaseline_at(0, SimTime::from_secs(10));
+        hb.rebaseline("mc-node-02", SimTime::from_secs(10));
+        assert!(hb.detector_at(0).is_none() && hb.detector("mc-node-02").is_none());
+        assert!(hb.nodes().is_empty());
+        // A scale creates the detector; a first scale of 1.0 is no change.
+        assert!(!hb.set_expected_scale_at(1, 1.0));
+        assert!(hb.set_expected_scale_at(1, 2.0));
+        assert!(!hb.set_expected_scale_at(1, 2.0));
+        assert_eq!(hb.nodes(), vec!["mc-node-02".to_string()]);
+        // The pump lands arrivals in the reserved slot.
+        let topic = "node/mc-node-01/hb".parse().unwrap();
+        for s in (0..50).step_by(5) {
+            broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(s)));
+        }
+        assert_eq!(hb.pump(), 10);
+        assert_eq!(hb.detector_at(0).map(PhiAccrualDetector::samples), Some(10));
+        let late = SimTime::from_secs(80);
+        assert_eq!(hb.phi_at(0, late), hb.phi("mc-node-01", late));
+        let step = cimone_soc::units::SimDuration::from_secs(1);
+        let to = SimTime::from_secs(200);
+        assert_eq!(
+            hb.next_suspicion_due_at(0, late, to, step),
+            hb.next_suspicion_due("mc-node-01", late, to, step)
+        );
+        assert_eq!(
+            hb.nodes(),
+            vec!["mc-node-01".to_string(), "mc-node-02".to_string()]
+        );
     }
 
     #[test]

@@ -132,12 +132,17 @@ mod tests {
 
     #[test]
     fn repeat_interning_does_not_register_again() {
-        intern(vec!["interner".into(), "idem".into()]);
-        let before = registration_count();
+        // Other tests intern concurrently, so the process-wide counter is
+        // no witness here: a re-registration would mint a new record and
+        // id, so identity of both is the test.
+        let first = intern(vec!["interner".into(), "idem".into()]);
         for _ in 0..10 {
-            intern(vec!["interner".into(), "idem".into()]);
-            assert!(lookup_display("interner/idem").is_some());
+            let again = intern(vec!["interner".into(), "idem".into()]);
+            assert!(std::ptr::eq(first, again));
+            assert_eq!(first.id, again.id);
+            let found = lookup_display("interner/idem").expect("registered");
+            assert!(std::ptr::eq(first, found));
         }
-        assert_eq!(registration_count(), before);
+        assert!(std::ptr::eq(get(first.id).expect("id resolves"), first));
     }
 }

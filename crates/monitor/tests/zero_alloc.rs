@@ -3,15 +3,20 @@
 //! the scratch buffers, a steady-state sample→publish→ingest tick must
 //! perform **zero** heap allocations.
 //!
+//! The failure detector's per-tick path is held to the same bar: cadence
+//! scales, heartbeat publish and pump, and suspicion queries by slot.
+//!
 //! A counting global allocator makes the claim falsifiable. This file
 //! holds exactly one `#[test]` so no sibling test thread can allocate
 //! inside the measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cimone_monitor::broker::Broker;
 use cimone_monitor::collector::Collector;
+use cimone_monitor::heartbeat::{HeartbeatMonitor, DEFAULT_PHI_THRESHOLD, DEFAULT_WINDOW};
 use cimone_monitor::interner::registration_count;
 use cimone_monitor::payload::Payload;
 use cimone_monitor::plugins::{CoreCounters, NodeSnapshot, Plugin, PmuPlugin, StatsPlugin};
@@ -93,6 +98,29 @@ fn tick(
     collector.pump(store);
 }
 
+/// One heartbeat tick for every node in `topics` (slot `i` beats on
+/// `topics[i]`): declare the cadence scale, publish, pump, then query
+/// phi and the next crossing by slot.
+fn heartbeat_tick(
+    at: SimTime,
+    topics: &[Topic],
+    batch: &mut Vec<(Topic, Payload)>,
+    broker: &Broker,
+    monitor: &mut HeartbeatMonitor,
+) {
+    for (slot, topic) in topics.iter().enumerate() {
+        monitor.set_expected_scale_at(slot, 1.0);
+        batch.push((*topic, Payload::new(1.0, at)));
+    }
+    broker.publish_batch_serial(batch);
+    monitor.pump();
+    let horizon = at + SimDuration::from_secs(60);
+    for slot in 0..topics.len() {
+        black_box(monitor.phi_at(slot, at));
+        black_box(monitor.next_suspicion_due_at(slot, at, horizon, SimDuration::from_secs(1)));
+    }
+}
+
 #[test]
 fn steady_state_tick_allocates_nothing() {
     const CORES: usize = 4;
@@ -158,5 +186,42 @@ fn steady_state_tick_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state ticks must not allocate ({allocs} allocations over {MEASURED_TICKS} ticks)"
+    );
+
+    // The failure detector: warm up past a full window so every detector
+    // wraps, then measure.
+    let hb_broker = Broker::new();
+    let mut monitor = HeartbeatMonitor::attach(
+        &hb_broker,
+        "node/+/heartbeat".parse().expect("valid"),
+        DEFAULT_PHI_THRESHOLD,
+    );
+    let topics: Vec<Topic> = (0..8)
+        .map(|i| {
+            let host = format!("mc-node-{:02}", i + 1);
+            assert_eq!(monitor.reserve(&host), i, "slots follow reservation order");
+            format!("node/{host}/heartbeat").parse().expect("valid")
+        })
+        .collect();
+    let cadence = SimDuration::from_secs(5);
+    let mut now = SimTime::ZERO;
+    for _ in 0..DEFAULT_WINDOW + 2 {
+        now += cadence;
+        heartbeat_tick(now, &topics, &mut batch, &hb_broker, &mut monitor);
+    }
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED_TICKS {
+        now += cadence;
+        heartbeat_tick(now, &topics, &mut batch, &hb_broker, &mut monitor);
+    }
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    assert_eq!(
+        monitor.detector_at(7).map(|d| d.samples()),
+        Some(DEFAULT_WINDOW + 1),
+        "the probe must ingest every beat into a full window"
+    );
+    assert_eq!(
+        allocs, 0,
+        "steady-state heartbeat ticks must not allocate ({allocs} allocations over {MEASURED_TICKS} ticks)"
     );
 }
